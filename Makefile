@@ -2,7 +2,7 @@
 # formatting, the full test suite, then a fast end-to-end smoke of the
 # experiment harness (fig3 takes well under a second).
 
-.PHONY: all build fmt test lint lint-fast lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
+.PHONY: all build fmt test perfbench-selftest lint lint-fast lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
 
 all: build
 
@@ -14,6 +14,13 @@ fmt:
 
 test:
 	dune runtest
+
+# End-to-end benchmark self-test: every perfbench workload at a tiny
+# size, traced and untraced — checks each workload's fingerprint and
+# conservation checks and that every metric BENCHMARK.json names is
+# printed with its unit (a few seconds).
+perfbench-selftest:
+	python3 perfbench/run.py --self-test
 
 # Static analysis: intraprocedural hot-path rules, the interprocedural
 # hot-reach closure, domain-safety and determinism checks over lib/
@@ -108,7 +115,7 @@ attest-smoke:
 	! grep -q "GATE: FAIL" _build/attest_smoke.out
 	dune exec bin/tango_cli.exe -- mesh --pops 16 --attest --scenario relay-tamper --fingerprint > /dev/null
 
-check: build fmt test lint smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke
+check: build fmt test perfbench-selftest lint smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke
 
 clean:
 	dune clean

@@ -9,8 +9,13 @@
    in both files,
 
      - ns/op regressed by more than the tolerance (default 25%), or
-     - major-heap words/op went from (effectively) zero in the baseline
-       to non-zero now — the zero-allocation fast path grew a leak, or
+     - a zero-allocation row (0 minor words/op in the baseline) now
+       allocates: minor words/op above half a word, or major words/op
+       above the 0.01 noise floor, or
+     - an allocating row's major words/op more than doubled (and rose
+       above the 0.01 floor) — rows that allocate hundreds of minor
+       words promote a GC-timing-dependent trickle to the major heap,
+       so an absolute floor would make them flaky, or
      - pps (throughput pipeline rows; higher is better) dropped by more
        than 15% against the baseline.
 
@@ -20,7 +25,12 @@
 
 module Json = Tango_obs.Json
 
-type row = { ns : float option; major : float option; pps : float option }
+type row = {
+  ns : float option;
+  minor : float option;
+  major : float option;
+  pps : float option;
+}
 
 let read_file path =
   let ic = open_in_bin path in
@@ -52,6 +62,7 @@ let rows_of_file path =
             ( name,
               {
                 ns = Json.number_opt (Json.member "ns_per_op" entry);
+                minor = Json.number_opt (Json.member "minor_words_per_op" entry);
                 major = Json.number_opt (Json.member "major_words_per_op" entry);
                 pps = Json.number_opt (Json.member "pps" entry);
               } )
@@ -63,9 +74,18 @@ let rows_of_file path =
    free and never regresses. *)
 let ns_floor = 0.5
 
-(* Noise floor for the major-words gate: a baseline at or under this is
-   "zero-allocation", and staying under it is a pass. *)
+(* A baseline row is zero-allocation when its minor words/op are at or
+   under this; such a row fails as soon as it allocates half a word per
+   op or touches the major heap at all (above [major_epsilon]). *)
+let minor_epsilon = 0.01
+
+let minor_limit = 0.5
+
+(* Noise floor for the major-words gate. *)
 let major_epsilon = 0.01
+
+(* Allocating rows: allowed fractional growth of major words/op. *)
+let major_tolerance = 1.0
 
 (* Allowed fractional pps drop for throughput rows (higher is better). *)
 let pps_tolerance = 0.15
@@ -117,13 +137,29 @@ let () =
                   b c
                   ((ratio -. 1.0) *. 100.0)
           | _ -> Printf.printf "  ~ %-45s no ns/op estimate\n" name);
-          (match (base.major, cur.major) with
-          | Some b, Some c when Float.abs b <= major_epsilon && c > major_epsilon
-            ->
+          (match base.minor with
+          | Some m when Float.abs m <= minor_epsilon -> (
+              match cur.minor with
+              | Some c when c > minor_limit ->
+                  incr failures;
+                  Printf.printf
+                    "  ! %-45s minor words/op %.3f -> %.3f (was zero-alloc)\n"
+                    name m c
+              | _ -> ())
+          | _ -> ());
+          (match (base.minor, base.major, cur.major) with
+          | Some m, Some b, Some c
+            when Float.abs m <= minor_epsilon && c > major_epsilon ->
               incr failures;
               Printf.printf
                 "  ! %-45s major words/op %.3f -> %.3f (was zero-alloc)\n" name
                 b c
+          | _, Some b, Some c
+            when c > Float.max major_epsilon (b *. (1.0 +. major_tolerance)) ->
+              incr failures;
+              Printf.printf "  ! %-45s major words/op %.3f -> %.3f (%+.0f%%)\n"
+                name b c
+                ((c /. Float.max b major_epsilon -. 1.0) *. 100.0)
           | _ -> ());
           (* Throughput rows: higher is better; gate on a >15% drop. A
              pps field present on only one side (schema drift, or a

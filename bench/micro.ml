@@ -237,6 +237,28 @@ let test_decision =
   Test.make ~name:"bgp decision (8 candidates)"
     (Staged.stage (fun () -> ignore (Tango_bgp.Decision.best candidates)))
 
+(* The canonical fabric's per-hop route lookup: longest-prefix match at
+   the LA border over the converged two-site Vultr deployment (host and
+   tunnel prefixes of both sites), with the node's FIB already built. A
+   warm lookup must not allocate. *)
+let test_route_for_addr =
+  let pair = Tango.Pair.setup_vultr () in
+  let net = Tango.Pair.network pair in
+  let plan =
+    Tango.Addressing.carve ~block:Tango.Addressing.default_block ~site_index:1
+      ~path_count:(List.length (Tango.Pair.paths_to_ny pair))
+  in
+  let dst =
+    Tango_net.Prefix.nth_address
+      (List.nth plan.Tango.Addressing.tunnel_prefixes 2)
+      1L
+  in
+  let node = Tango_topo.Vultr.vultr_la in
+  assert (Option.is_some (Tango_bgp.Network.route_for_addr net ~node dst));
+  Test.make ~name:"bgp network.route_for_addr (Vultr, warm)"
+    (Staged.stage (fun () ->
+         ignore (Tango_bgp.Network.route_for_addr net ~node dst)))
+
 (* The per-packet fault hook (lib/faults): fault-free fabrics must pay
    exactly one load and one branch, and even the active case stays
    allocation-free. A two-node toy topology keeps the flat link arrays
@@ -467,6 +489,7 @@ let all_tests =
       test_policy_uncached;
       test_flow_cache_hit;
       test_decision;
+      test_route_for_addr;
       test_obs_incr_on;
       test_obs_incr_off;
       test_obs_gauge_on;

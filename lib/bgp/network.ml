@@ -1,6 +1,7 @@
 module Topology = Tango_topo.Topology
 module Engine = Tango_sim.Engine
 module Prefix = Tango_net.Prefix
+module Node_tbl = Hashtbl.Make (Int)
 
 type overrides = {
   allowas_in : bool option;
@@ -18,6 +19,10 @@ let no_overrides =
     neighbor_weight = None;
     neighbor_local_pref = None;
   }
+
+(* One forwarding-table entry: a loc-RIB prefix and its route, the
+   option preallocated so a lookup hit returns it without allocating. *)
+type fib_entry = { f_prefix : Prefix.t; f_route : Route.t option }
 
 type t = {
   topo : Topology.t;
@@ -37,6 +42,10 @@ type t = {
      it to decide whether their resolved routes are still current;
      over-counting is harmless, missing a change is not. *)
   mutable revision : int;
+  (* Per-node FIB: the loc-RIB flattened longest prefix first. A node's
+     entry is dropped at every revision bump that can change that node's
+     table, and rebuilt by the next lookup there. *)
+  fibs : fib_entry array Node_tbl.t;
   (* Table-observation hooks: fired synchronously whenever a node
      (re-)originates or withdraws a prefix — the event source behind
      event-driven reconciliation checks. Empty by default, so the
@@ -70,6 +79,7 @@ let create ?(processing_delay_s = 0.05) ?(mrai_s = 0.0)
       flush_armed = Hashtbl.create 64;
       messages = 0;
       revision = 0;
+      fibs = Node_tbl.create 64;
       origin_listeners = [];
     }
   in
@@ -123,6 +133,12 @@ let prefix_of_update = function
   | Update.Announce r -> r.Route.prefix
   | Update.Withdraw p -> p
 
+(* [node]'s loc-RIB is about to change: move the revision and drop the
+   node's FIB. *)
+let touch t node =
+  t.revision <- t.revision + 1;
+  Node_tbl.remove t.fibs node
+
 let rec dispatch t ~from_node (emissions : Update.emission list) =
   List.iter
     (fun { Update.to_node; update } -> submit t from_node to_node update)
@@ -173,7 +189,7 @@ and transmit t from_node to_node update =
   let delay = session_delay t from_node to_node in
   Engine.schedule t.engine ~delay (fun _engine ->
       t.messages <- t.messages + 1;
-      t.revision <- t.revision + 1;
+      touch t to_node;
       let receiver = speaker t to_node in
       let next = Speaker.receive receiver ~from_node update in
       dispatch t ~from_node:to_node next)
@@ -186,13 +202,13 @@ let add_origin_listener t f = t.origin_listeners <- t.origin_listeners @ [ f ]
 let announce t ~node prefix ?communities ?poison () =
   let s = speaker t node in
   let emissions = Speaker.originate s prefix ?communities ?poison () in
-  t.revision <- t.revision + 1;
+  touch t node;
   dispatch t ~from_node:node emissions;
   notify_origin t ~node prefix
 
 let withdraw t ~node prefix =
   let s = speaker t node in
-  t.revision <- t.revision + 1;
+  touch t node;
   dispatch t ~from_node:node (Speaker.withdraw_origin s prefix);
   notify_origin t ~node prefix
 
@@ -206,18 +222,35 @@ let best_route t ~node prefix = Speaker.best (speaker t node) prefix
 let as_path t ~node prefix =
   Option.map (fun (r : Route.t) -> r.Route.path) (best_route t ~node prefix)
 
-let route_for_addr t ~node addr =
-  let rib = Speaker.loc_rib (speaker t node) in
-  List.fold_left
-    (fun acc (prefix, route) ->
-      if Prefix.mem prefix addr then
-        match acc with
-        | Some (best_prefix, _) when Prefix.length best_prefix >= Prefix.length prefix ->
-            acc
-        | Some _ | None -> Some (prefix, route)
-      else acc)
-    None rib
-  |> Option.map snd
+let fib_entry (prefix, route) =
+  (* tango-lint: allow hot-reach — FIB rebuild: one entry per prefix, once per loc-RIB change, never per lookup *)
+  { f_prefix = prefix; f_route = Some route }
+
+let longest_first a b =
+  Int.compare (Prefix.length b.f_prefix) (Prefix.length a.f_prefix)
+
+let build_fib speaker =
+  let fib = Array.of_list (List.map fib_entry (Speaker.loc_rib speaker)) in
+  Array.stable_sort longest_first fib;
+  fib
+
+(* Canonical prefixes of one length are disjoint, so the first match in
+   a longest-first table is the longest-prefix match. *)
+let rec fib_lookup fib addr i =
+  if i >= Array.length fib then None
+  else
+    let e = fib.(i) in
+    if Prefix.mem e.f_prefix addr then e.f_route else fib_lookup fib addr (i + 1)
+
+let fib t node =
+  match Node_tbl.find t.fibs node with
+  | fib -> fib
+  | exception Not_found ->
+      let fib = build_fib (speaker t node) in
+      Node_tbl.replace t.fibs node fib;
+      fib
+
+let route_for_addr t ~node addr = fib_lookup (fib t node) addr 0
 
 let forwarding_path t ~from_node addr =
   let rec walk node acc hops =

@@ -36,7 +36,10 @@ val create :
 val topology : t -> Tango_topo.Topology.t
 val engine : t -> Tango_sim.Engine.t
 val speaker : t -> int -> Speaker.t
-(** Raises [Invalid_argument] for unknown node ids. *)
+(** Raises [Invalid_argument] for unknown node ids. The speaker is for
+    inspection: its tables change only through {!announce},
+    {!withdraw} and delivered updates, which keep {!revision} and the
+    per-node FIBs of {!route_for_addr} current. *)
 
 val announce :
   t ->
@@ -61,7 +64,10 @@ val as_path : t -> node:int -> Tango_net.Prefix.t -> As_path.t option
 (** AS path of the selected route at the node. *)
 
 val route_for_addr : t -> node:int -> Tango_net.Addr.t -> Route.t option
-(** Longest-prefix-match over the node's loc-RIB. *)
+(** Longest-prefix-match over the node's loc-RIB, answered from a
+    per-node FIB that every table change at the node invalidates and
+    the next lookup rebuilds. A lookup on a built FIB allocates
+    nothing. *)
 
 val forwarding_path : t -> from_node:int -> Tango_net.Addr.t -> int list option
 (** Node-id path data packets follow from [from_node] to the address's

@@ -10,4 +10,9 @@ let select lanes ~salt flow =
   if n = 0 then Err.invalid "Ecmp.select: no lanes";
   Tango_net.Flow.hash_5tuple ~salt flow mod n
 
-let lane_delay_ms lanes ~salt flow = lanes.(select lanes ~salt flow)
+(* A single lane needs no hash: every flow lands on it. *)
+let lane_delay_ms lanes ~salt packet =
+  match Array.length lanes with
+  | 0 -> Err.invalid "Ecmp.lane_delay_ms: no lanes"
+  | 1 -> lanes.(0)
+  | n -> lanes.(Tango_net.Packet.forwarding_hash ~salt packet mod n)

@@ -17,4 +17,7 @@ val select : lanes -> salt:int -> Tango_net.Flow.t -> int
 (** Deterministic lane index for a flow at a node ([salt] decorrelates
     nodes). *)
 
-val lane_delay_ms : lanes -> salt:int -> Tango_net.Flow.t -> float
+val lane_delay_ms : lanes -> salt:int -> Tango_net.Packet.t -> float
+(** Offset of the lane the packet's forwarding 5-tuple selects: the same
+    lane as [select] on {!Tango_net.Packet.forwarding_flow}, hashed only
+    when there is more than one lane. *)

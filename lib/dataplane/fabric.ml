@@ -5,7 +5,6 @@ module Link = Tango_topo.Link
 module Engine = Tango_sim.Engine
 module Rng = Tango_sim.Rng
 module Packet = Tango_net.Packet
-module Flow = Tango_net.Flow
 module Metric = Tango_obs.Metric
 module Trace = Tango_obs.Trace
 
@@ -97,15 +96,16 @@ type t = {
   mutable published_delivered : int;
   mutable direct_fallbacks : int;
   (* Per-directed-link state lives in flat arrays indexed by the packed
-     key [from * node_count + to] — O(1) with no tuple allocation or
-     polymorphic hashing on the per-packet path, sized once from the
-     topology (node ids are small dense ints). *)
+     key [index from * node_count + index to] — O(1) with no tuple
+     allocation or polymorphic hashing on the per-packet path. Node ids
+     reach into the thousands (transit ids are ASNs), so they are first
+     mapped to dense indexes (-1: no such node) and the arrays are sized
+     by the node count. *)
+  node_index : int array;
   node_count : int;
   failed_links : Bytes.t;
   (* Bandwidth contention (optional): per directed link, when its
-     transmitter frees up. Allocated only when [max_queue_s] is set —
-     node ids reach into the thousands (transit ids are ASNs), so a
-     node_count^2 array is tens of MB. *)
+     transmitter frees up. Allocated only when [max_queue_s] is set. *)
   max_queue_s : float option;
   busy_until : float array;
   (* Fault-injection hooks (lib/faults): per-directed-link extra drop
@@ -142,13 +142,17 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     | Some f -> f
     | None -> fun ~from_node:_ ~to_node:_ ~time_s:_ -> 0.0
   in
-  let node_count =
-    1
-    + List.fold_left
-        (fun m (n : Topology.node) -> max m n.Topology.id)
-        (-1)
-        (Topology.nodes (Network.topology net))
+  let nodes = Topology.nodes (Network.topology net) in
+  let node_index =
+    Array.make
+      (1 + List.fold_left (fun m (n : Topology.node) -> max m n.Topology.id) (-1) nodes)
+      (-1)
   in
+  List.iteri
+    (fun i (n : Topology.node) ->
+      if n.Topology.id >= 0 then node_index.(n.Topology.id) <- i)
+    nodes;
+  let node_count = List.length nodes in
   {
     net;
     rng = Rng.create ~seed;
@@ -163,6 +167,7 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     published_sent = 0;
     published_delivered = 0;
     direct_fallbacks = 0;
+    node_index;
     node_count;
     failed_links = Bytes.make (node_count * node_count) '\000';
     max_queue_s;
@@ -179,132 +184,133 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     dropped = 0;
   }
 
+let index_of t id =
+  if id < 0 || id >= Array.length t.node_index then -1 else t.node_index.(id)
+
 let[@hot] link_key t ~from_node ~to_node =
-  if
-    from_node < 0 || from_node >= t.node_count || to_node < 0
-    || to_node >= t.node_count
-  then
+  let a = index_of t from_node and b = index_of t to_node in
+  if a < 0 || b < 0 then
     Err.invalid "Fabric: link %d -> %d outside the topology" from_node
          to_node;
-  (from_node * t.node_count) + to_node
+  (a * t.node_count) + b
 
 let network t = t.net
 
 let hop_limit = 64
 
-(* tango-lint: allow hot-alloc — no-op default: fast-path callers pass ~on_dropped explicitly *)
-let[@hot] send t ~from_node ?(on_dropped = fun ~reason:_ _ -> ()) ~on_delivered packet =
+let drop t packet on_dropped reason code =
+  t.dropped <- t.dropped + 1;
+  Metric.incr m_dropped;
+  Metric.incr drop_counters.(code);
+  Trace.record Trace.default ~now:(Engine.now (Network.engine t.net)) ~kind:k_drop
+    packet.Packet.id code;
+  on_dropped ~reason packet
+
+let deliver t packet on_delivered node =
+  t.delivered <- t.delivered + 1;
+  Metric.incr m_delivered;
+  Trace.record Trace.default ~now:(Engine.now (Network.engine t.net))
+    ~kind:k_deliver packet.Packet.id node;
+  on_delivered ~node packet
+
+(* One hop of [send], run on the packet's arrival at [node]: resolve the
+   next hop from the node's FIB, then [forward] schedules the arrival at
+   the next node as an engine event. The packet and both callbacks ride
+   along as arguments, so a hop allocates one event continuation and no
+   per-send closures. *)
+let rec at_node t packet on_dropped on_delivered node hops =
+  Packet.record_hop packet (Topology.asn (Network.topology t.net) node);
+  if hops > hop_limit then drop t packet on_dropped "ttl" drop_ttl
+  else
+    match Network.route_for_addr t.net ~node (Packet.forwarding_dst packet) with
+    | None -> drop t packet on_dropped "unroutable" drop_unroutable
+    | Some route -> (
+        if Route.local route then deliver t packet on_delivered node
+        else
+          match route.Route.learned_from with
+          | None -> deliver t packet on_delivered node
+          | Some next -> forward t packet on_dropped on_delivered node next hops)
+
+and forward t packet on_dropped on_delivered node next hops =
+  match Topology.link (Network.topology t.net) node next with
+  | None -> drop t packet on_dropped "unroutable" drop_unroutable
+  | Some link ->
+      let key = link_key t ~from_node:node ~to_node:next in
+      if Bytes.get t.failed_links key <> '\000' then
+        drop t packet on_dropped "link-failure" drop_link_failure
+      else if link.Link.loss > 0.0 && Rng.float t.rng 1.0 < link.Link.loss then
+        drop t packet on_dropped "loss" drop_loss
+      else if
+        t.fault_count > 0
+        && t.fault_loss.(key) > 0.0
+        && Rng.float t.rng 1.0 < t.fault_loss.(key)
+      then drop t packet on_dropped "fault-loss" drop_fault
+      else begin
+        let engine = Network.engine t.net in
+        let jitter =
+          if link.Link.jitter_ms > 0.0 then
+            Float.max 0.0 (Rng.gaussian t.rng ~mean:0.0 ~std:link.Link.jitter_ms)
+          else 0.0
+        in
+        let lane = Ecmp.lane_delay_ms (t.lanes_of next) ~salt:next packet in
+        let now_s = Engine.now engine in
+        let dynamic =
+          t.extra_delay_ms ~from_node:node ~to_node:next ~time_s:now_s
+        in
+        let fault_ms =
+          if t.fault_count > 0 then t.fault_extra.(key) ~time_s:now_s else 0.0
+        in
+        let transmission_s =
+          Link.transmission_delay_ms link ~bytes:(Packet.wire_size packet)
+          /. 1000.0
+        in
+        (* Optional FIFO contention: wait for the transmitter, drop on
+           overflow (tail drop against the queue-delay bound). The wait
+           is never negative, so -1 marks an overflow. *)
+        let queueing_s =
+          match t.max_queue_s with
+          | None -> 0.0
+          | Some bound ->
+              let free_at = Float.max now_s t.busy_until.(key) in
+              let wait = free_at -. now_s in
+              if wait > bound then -1.0
+              else begin
+                t.busy_until.(key) <- free_at +. transmission_s;
+                Metric.observe h_queue_wait wait;
+                wait
+              end
+        in
+        if queueing_s < 0.0 then
+          drop t packet on_dropped "queue-overflow" drop_queue_overflow
+        else begin
+          let delay_s =
+            ((link.Link.delay_ms +. jitter +. lane +. dynamic +. fault_ms)
+            /. 1000.0)
+            +. transmission_s +. queueing_s
+          in
+          Metric.incr m_forwarded;
+          (* tango-lint: allow hot-reach — event-engine continuation: one closure per scheduled hop *)
+          Engine.schedule engine ~delay:(Float.max 0.0 delay_s) (fun _ ->
+              at_node t packet on_dropped on_delivered next (hops + 1))
+        end
+      end
+
+let drop_ignored ~reason:_ _ = ()
+
+let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
   t.sent <- t.sent + 1;
   Metric.incr m_sent;
-  let engine = Network.engine t.net in
-  let topo = Network.topology t.net in
-  (* tango-lint: allow hot-alloc — one drop-accounting closure per send, not per hop *)
-  let drop reason code =
-    t.dropped <- t.dropped + 1;
-    Metric.incr m_dropped;
-    Metric.incr drop_counters.(code);
-    Trace.record Trace.default ~now:(Engine.now engine) ~kind:k_drop
-      packet.Packet.id code;
-    on_dropped ~reason packet
-  in
-  (* tango-lint: allow hot-alloc — delivery-accounting closure shared by both local-route branches, once per send *)
-  let deliver node =
-    t.delivered <- t.delivered + 1;
-    Metric.incr m_delivered;
-    Trace.record Trace.default ~now:(Engine.now engine) ~kind:k_deliver
-      packet.Packet.id node;
-    on_delivered ~node packet
-  in
-  (* tango-lint: allow hot-alloc — recursive forwarding loop captures the packet once per send *)
-  let rec at_node node hops =
-    Packet.record_hop packet (Topology.asn topo node);
-    if hops > hop_limit then drop "ttl" drop_ttl
-    else begin
-      let flow = Packet.forwarding_flow packet in
-      match Network.route_for_addr t.net ~node flow.Flow.dst with
-      | None -> drop "unroutable" drop_unroutable
-      | Some route ->
-          if Route.local route then deliver node
-          else begin
-            match route.Route.learned_from with
-            | None -> deliver node
-            | Some next -> forward node next hops
-          end
-    end
-  (* tango-lint: allow hot-alloc — part of the same per-send recursive loop *)
-  and forward node next hops =
-    match Topology.link topo node next with
-    | None -> drop "unroutable" drop_unroutable
-    | Some link ->
-        let key = (node * t.node_count) + next in
-        if Bytes.get t.failed_links key <> '\000' then
-          drop "link-failure" drop_link_failure
-        else if link.Link.loss > 0.0 && Rng.float t.rng 1.0 < link.Link.loss then
-          drop "loss" drop_loss
-        else if
-          t.fault_count > 0
-          && t.fault_loss.(key) > 0.0
-          && Rng.float t.rng 1.0 < t.fault_loss.(key)
-        then drop "fault-loss" drop_fault
-        else begin
-          let flow = Packet.forwarding_flow packet in
-          let jitter =
-            if link.Link.jitter_ms > 0.0 then
-              Float.max 0.0 (Rng.gaussian t.rng ~mean:0.0 ~std:link.Link.jitter_ms)
-            else 0.0
-          in
-          let lane = Ecmp.lane_delay_ms (t.lanes_of next) ~salt:next flow in
-          let now_s = Engine.now engine in
-          let dynamic =
-            t.extra_delay_ms ~from_node:node ~to_node:next ~time_s:now_s
-          in
-          let fault_ms =
-            if t.fault_count > 0 then t.fault_extra.(key) ~time_s:now_s else 0.0
-          in
-          let transmission_s =
-            Link.transmission_delay_ms link ~bytes:(Packet.wire_size packet)
-            /. 1000.0
-          in
-          (* Optional FIFO contention: wait for the transmitter, drop on
-             overflow (tail drop against the queue-delay bound). *)
-          let queueing_result =
-            match t.max_queue_s with
-            | None -> Some 0.0
-            | Some bound ->
-                let now = now_s in
-                let free_at = Float.max now t.busy_until.(key) in
-                let wait = free_at -. now in
-                if wait > bound then None
-                else begin
-                  t.busy_until.(key) <- free_at +. transmission_s;
-                  Metric.observe h_queue_wait wait;
-                  Some wait
-                end
-          in
-          match queueing_result with
-          | None -> drop "queue-overflow" drop_queue_overflow
-          | Some queueing_s ->
-              let delay_s =
-                ((link.Link.delay_ms +. jitter +. lane +. dynamic +. fault_ms)
-                /. 1000.0)
-                +. transmission_s +. queueing_s
-              in
-              Metric.incr m_forwarded;
-              (* tango-lint: allow hot-alloc — event-engine continuation: one closure per scheduled hop *)
-              Engine.schedule engine ~delay:(Float.max 0.0 delay_s) (fun _ ->
-                  at_node next (hops + 1))
-        end
-  in
-  at_node from_node 0
+  at_node t packet on_dropped on_delivered from_node 0
 
 (* ------------------------------------------------------------------ *)
 (* Batched sends (DESIGN.md §11).
 
    [send] resolves the route hop by hop, on arrival, with one scheduled
-   engine event per hop — faithful, but ~5 closures and a full RIB
-   lookup per hop. The batched path instead snapshots the whole route
-   once per (from, dst) pair and reuses it for every packet of every
-   batch until the control plane changes ([Network.revision] moves).
+   engine event per hop — faithful, at the price of an event, its
+   continuation closure and a FIB lookup per hop. The batched path
+   instead snapshots the whole route once per (from, dst) pair and
+   reuses it for every packet of every batch until the control plane
+   changes ([Network.revision] moves).
    That snapshot is only sound when nothing along the route is
    stochastic or dynamic, so eligibility is checked at three levels:
 
@@ -360,7 +366,7 @@ let resolve_route t ~from_node ~dst =
                 match Topology.link topo node next with
                 | None -> None
                 | Some link ->
-                    links := ((node * t.node_count) + next) :: !links;
+                    links := link_key t ~from_node:node ~to_node:next :: !links;
                     asns := Topology.asn topo next :: !asns;
                     delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
                     per_byte_s :=
@@ -425,8 +431,6 @@ let[@hot] record_route_hops packet (e : route_entry) =
     Packet.record_hop packet (Array.unsafe_get e.e_asns i)
   done
 
-let drop_ignored ~reason:_ _ = ()
-
 let[@hot] send_batch t ~from_node ?(on_dropped = drop_ignored) ~on_delivered
     batch =
   let eligible = batch_eligible t in
@@ -450,7 +454,7 @@ let[@hot] send_batch t ~from_node ?(on_dropped = drop_ignored) ~on_delivered
             +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
           in
           let dest = e.e_dest in
-          (* tango-lint: allow hot-alloc — one delivery event closure per packet (vs ~5 closures + an event per hop on the canonical path) *)
+          (* tango-lint: allow hot-alloc — one delivery event closure per packet (vs an event and its continuation per hop on the canonical path) *)
           Engine.schedule_at engine ~time:arrival (fun _ ->
               t.delivered <- t.delivered + 1;
               Metric.incr m_delivered;

@@ -55,7 +55,7 @@ val send_batch :
     are resolved once per (from, dst) pair — a FIB snapshot validated
     against {!Tango_bgp.Network.revision} — and delivery is scheduled as
     a single engine event at the closed-form arrival time, amortizing
-    the per-hop closures, RIB lookups and obs branches across the batch.
+    the per-hop events, FIB lookups and obs branches across the batch.
     Everything else falls back to {!send}, packet by packet, in order. *)
 
 val send_batch_direct :

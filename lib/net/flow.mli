@@ -20,4 +20,16 @@ val reverse : t -> t
 
 val hash_5tuple : ?salt:int -> t -> int
 (** Deterministic FNV-1a over the 5-tuple, non-negative. Core routers use
-    [salt] to decorrelate hash decisions at different hops. *)
+    [salt] to decorrelate hash decisions at different hops. Allocates
+    nothing. *)
+
+val hash_fields :
+  salt:int ->
+  src:Addr.t ->
+  dst:Addr.t ->
+  proto:int ->
+  src_port:int ->
+  dst_port:int ->
+  int
+(** [hash_5tuple ~salt] of the flow with these fields, without building
+    the flow record. *)

@@ -50,6 +50,16 @@ let forwarding_flow t =
       Flow.v ~src:e.outer_src ~dst:e.outer_dst ~proto:17 ~src_port:e.udp_src
         ~dst_port:e.udp_dst
 
+let forwarding_hash ~salt t =
+  match t.encap with
+  | None ->
+      let f = t.flow in
+      Flow.hash_fields ~salt ~src:f.Flow.src ~dst:f.Flow.dst ~proto:f.Flow.proto
+        ~src_port:f.Flow.src_port ~dst_port:f.Flow.dst_port
+  | Some e ->
+      Flow.hash_fields ~salt ~src:e.outer_src ~dst:e.outer_dst ~proto:17
+        ~src_port:e.udp_src ~dst_port:e.udp_dst
+
 let forwarding_dst t =
   match t.encap with None -> t.flow.Flow.dst | Some e -> e.outer_dst
 

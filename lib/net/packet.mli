@@ -56,6 +56,10 @@ val forwarding_flow : t -> Flow.t
 (** The 5-tuple the core sees: the outer UDP flow when encapsulated,
     otherwise the inner flow. *)
 
+val forwarding_hash : salt:int -> t -> int
+(** [Flow.hash_5tuple ~salt (forwarding_flow t)] without materializing
+    the flow record. *)
+
 val forwarding_dst : t -> Addr.t
 (** Destination address the core routes on — [forwarding_flow]'s [dst]
     without materializing the flow record (the batched fast path resolves

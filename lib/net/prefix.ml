@@ -46,13 +46,31 @@ let to_string t = Printf.sprintf "%s/%d" (Addr.to_string t.addr) t.len
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+(* Does [x] agree with the canonical [net] word on its top [bits] bits?
+   [bits] may fall outside 0..64: at or below 0 every word matches, at or
+   above 64 the words must be equal. Allocates nothing. *)
+let word_mem ~net x bits =
+  bits <= 0
+  || Int64.equal
+       (Int64.logand x (Int64.shift_left Int64.minus_one (64 - Int.min bits 64)))
+       net
+
 let mem t a =
-  match (t.addr, a) with
-  | Addr.V4 net, Addr.V4 x ->
-      Int32.equal (Ipv4.to_int32 net)
-        (Int32.logand (Ipv4.to_int32 x) (mask_v4 t.len))
-  | Addr.V6 net, Addr.V6 x -> Ipv6.equal net (Ipv6.logand x (mask_v6 t.len))
-  | Addr.V4 _, Addr.V6 _ | Addr.V6 _, Addr.V4 _ -> false
+  match t.addr with
+  | Addr.V4 net -> (
+      match a with
+      | Addr.V4 x ->
+          t.len = 0
+          || Int32.equal (Ipv4.to_int32 net)
+               (Int32.logand (Ipv4.to_int32 x)
+                  (Int32.shift_left Int32.minus_one (32 - t.len)))
+      | Addr.V6 _ -> false)
+  | Addr.V6 net -> (
+      match a with
+      | Addr.V6 x ->
+          word_mem ~net:(Ipv6.hi net) (Ipv6.hi x) t.len
+          && word_mem ~net:(Ipv6.lo net) (Ipv6.lo x) (t.len - 64)
+      | Addr.V4 _ -> false)
 
 let subsumes p q = p.len <= q.len && mem p q.addr
 

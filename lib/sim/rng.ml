@@ -36,12 +36,13 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+(* A uniform draw in (1e-300, 1], safe to take the log of. *)
+let rec positive_uniform t =
+  let u = float t 1.0 in
+  if u <= 1e-300 then positive_uniform t else u
+
 let gaussian t ~mean ~std =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () in
+  let u1 = positive_uniform t in
   let u2 = float t 1.0 in
   let r = sqrt (-2.0 *. log u1) in
   mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))

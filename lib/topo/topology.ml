@@ -43,10 +43,7 @@ let connect t ~provider ~customer ?(link = Link.default) () =
 let connect_peers t a b ?(link = Link.default) () =
   add_edge t a b Relationship.Peer link
 
-let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> raise Not_found
+let node t id = Hashtbl.find t.nodes id
 
 let node_opt t id = Hashtbl.find_opt t.nodes id
 
@@ -62,11 +59,15 @@ let relationship t a b =
   | Some adj ->
       List.find_map (fun (n, rel, _) -> if n = b then Some rel else None) !adj
 
+let rec link_in adj b =
+  match adj with
+  | [] -> None
+  | (n, _, l) :: rest -> if n = b then Some l else link_in rest b
+
 let link t a b =
-  match Hashtbl.find_opt t.adjacency a with
-  | None -> None
-  | Some adj ->
-      List.find_map (fun (n, _, l) -> if n = b then Some l else None) !adj
+  match Hashtbl.find t.adjacency a with
+  | adj -> link_in !adj b
+  | exception Not_found -> None
 
 let neighbors t id = !(adjacency_exn t id)
 

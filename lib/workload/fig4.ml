@@ -1,9 +1,14 @@
 module Vultr = Tango_topo.Vultr
 module Rng = Tango_sim.Rng
 
+(* The delay process on one directed [transit -> toward] link. *)
+type link_process = { transit : int; toward : int; process : Delay_process.t }
+
 type t = {
   horizon_s : float;
-  processes : (int * int, Delay_process.t) Hashtbl.t;
+  (* Eight links: a scan over a flat array beats hashing a tuple key,
+     and allocates nothing on the per-hop path. *)
+  processes : link_process array;
   route_change : float * float;
   instability : float * float;
 }
@@ -12,10 +17,10 @@ let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
     ?(instability_peak_extra_ms = 50.0) () =
   if horizon_s <= 0.0 then invalid_arg "Fig4.create: non-positive horizon";
   let rng = Rng.create ~seed in
-  let processes = Hashtbl.create 16 in
+  let processes = ref [] in
   let fresh_seed () = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
   let register ~transit ~toward process =
-    Hashtbl.replace processes (transit, toward) process
+    processes := { transit; toward; process } :: !processes
   in
   let rc_start = 0.40 *. horizon_s and rc_stop = 0.60 *. horizon_s in
   let inst_start = 0.70 *. horizon_s and inst_stop = 0.80 *. horizon_s in
@@ -61,20 +66,30 @@ let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
        ~ou_std_ms:0.10 ());
   {
     horizon_s;
-    processes;
+    processes = Array.of_list (List.rev !processes);
     route_change = (rc_start, rc_stop);
     instability = (inst_start, inst_stop);
   }
 
 let horizon_s t = t.horizon_s
 
+let rec find_process t ~transit ~toward i =
+  if i >= Array.length t.processes then -1
+  else
+    let p = t.processes.(i) in
+    if p.transit = transit && p.toward = toward then i
+    else find_process t ~transit ~toward (i + 1)
+
 let extra_delay_ms t ~from_node ~to_node ~time_s =
-  match Hashtbl.find_opt t.processes (from_node, to_node) with
-  | Some process -> Delay_process.value process ~time_s
-  | None -> 0.0
+  match find_process t ~transit:from_node ~toward:to_node 0 with
+  | -1 -> 0.0
+  | i -> Delay_process.value t.processes.(i).process ~time_s
 
 let route_change_window t = t.route_change
 
 let instability_window t = t.instability
 
-let process_for t ~transit ~toward = Hashtbl.find_opt t.processes (transit, toward)
+let process_for t ~transit ~toward =
+  match find_process t ~transit ~toward 0 with
+  | -1 -> None
+  | i -> Some t.processes.(i).process

@@ -502,6 +502,109 @@ let bgp_qcheck_withdraw_cleans_everything =
           Network.best_route net ~node:n.Topology.id (prefix "10.0.0.0/8") = None)
         (Topology.nodes topo))
 
+(* Differential check of the cached forwarding table: after any sequence
+   of originations and withdrawals, [route_for_addr] must answer exactly
+   what a longest-prefix scan of the live loc-RIB answers. Queries run
+   right after each batch of table changes (before the engine delivers
+   anything), part-way through propagation and after convergence, so a
+   FIB that misses a table change serves a stale route and fails. *)
+let lpm_prefixes =
+  List.map prefix
+    [
+      "0.0.0.0/0";
+      "10.0.0.0/8";
+      "10.1.0.0/16";
+      "10.1.2.0/24";
+      "10.1.2.3/32";
+      "192.168.0.0/16";
+      "::/0";
+      "2001:db8::/32";
+      "2001:db8:b000::/48";
+      "2001:db8:b000::/64";
+      "2001:db8:b000:0:8000::/65";
+      "2001:db8:b000::1/128";
+    ]
+
+let lpm_probes =
+  List.map Tango_net.Addr.of_string_exn
+    [
+      "10.1.2.3";
+      "10.1.2.4";
+      "10.1.9.9";
+      "10.200.0.1";
+      "192.168.1.1";
+      "172.16.0.1";
+      "2001:db8:b000::1";
+      "2001:db8:b000::2";
+      "2001:db8:b000:0:8000::1";
+      "2001:db8:b000:1::1";
+      "2001:db8:c000::1";
+      "2001:db9::1";
+    ]
+
+let reference_lpm net ~node addr =
+  List.fold_left
+    (fun best (p, route) ->
+      if not (Prefix.mem p addr) then best
+      else
+        match best with
+        | Some (q, _) when Prefix.length q >= Prefix.length p -> best
+        | Some _ | None -> Some (p, route))
+    None
+    (Speaker.loc_rib (Network.speaker net node))
+  |> Option.map snd
+
+let fib_agrees topo net =
+  List.for_all
+    (fun (n : Topology.node) ->
+      List.for_all
+        (fun addr ->
+          let node = n.Topology.id in
+          Option.equal ( == ) (Network.route_for_addr net ~node addr)
+            (reference_lpm net ~node addr))
+        lpm_probes)
+    (Topology.nodes topo)
+
+(* One step: announce prefix [pi] at node [ni], or withdraw an earlier
+   origination (picked by [ni]), then let the engine deliver up to
+   [events] updates. *)
+let fib_op_gen =
+  QCheck.Gen.(quad bool (int_bound 15) (int_bound 11) (int_bound 6))
+
+let bgp_qcheck_fib_matches_lpm_scan =
+  QCheck.Test.make ~name:"cached FIB equals a longest-prefix scan" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (seed, ops) ->
+          Printf.sprintf "seed %d, %d ops" seed (List.length ops))
+        Gen.(pair (int_bound 10_000) (list_size (int_range 1 12) fib_op_gen)))
+    (fun (seed, ops) ->
+      let topo =
+        Tango_topo.Builders.random_hierarchy ~seed ~tier1:3 ~tier2:5 ~stubs:8
+      in
+      let engine = Engine.create () in
+      let net = Network.create topo engine in
+      let nodes = Array.of_list (Topology.nodes topo) in
+      let ok = ref (fib_agrees topo net) in
+      let originated = ref [] in
+      List.iter
+        (fun (announce, ni, pi, events) ->
+          (if announce || !originated = [] then begin
+             let node = nodes.(ni mod Array.length nodes).Topology.id in
+             let p = List.nth lpm_prefixes pi in
+             Network.announce net ~node p ();
+             originated := (node, p) :: !originated
+           end
+           else
+             let node, p = List.nth !originated (ni mod List.length !originated) in
+             Network.withdraw net ~node p);
+          ok := !ok && fib_agrees topo net;
+          Engine.run ~max_events:events engine;
+          ok := !ok && fib_agrees topo net)
+        ops;
+      ignore (Network.converge net);
+      !ok && fib_agrees topo net)
+
 let bgp_qcheck_customer_reaches_origin =
   QCheck.Test.make ~name:"providers of the origin always learn the route" ~count:60
     QCheck.(int_bound 10_000)
@@ -670,6 +773,7 @@ let () =
           QCheck_alcotest.to_alcotest bgp_qcheck_valley_free;
           QCheck_alcotest.to_alcotest bgp_qcheck_withdraw_cleans_everything;
           QCheck_alcotest.to_alcotest bgp_qcheck_customer_reaches_origin;
+          QCheck_alcotest.to_alcotest bgp_qcheck_fib_matches_lpm_scan;
         ] );
       ( "vultr",
         [

@@ -155,6 +155,42 @@ let test_ecmp_lane_delay () =
   let lanes = Ecmp.uniform_lanes ~count:3 ~spread_ms:1.5 in
   Alcotest.(check (array (float 1e-9))) "offsets" [| 0.0; 1.5; 3.0 |] lanes
 
+(* The per-hop lane offset is the lane [select] picks for the packet's
+   forwarding flow (the outer 5-tuple once tunneled), whatever the
+   shortcut taken for single-lane nodes. *)
+let test_ecmp_packet_lane_matches_select () =
+  let packet port =
+    Packet.create ~id:port
+      ~flow:
+        (Flow.v
+           ~src:(Addr.of_string_exn "2001:db8::1")
+           ~dst:(Addr.of_string_exn "2001:db8::2")
+           ~proto:6 ~src_port:port ~dst_port:443)
+      ~payload_bytes:0 ~created_at:0.0 ()
+  in
+  let check lanes p =
+    Alcotest.(check (float 0.0)) "lane of forwarding flow"
+      lanes.(Ecmp.select lanes ~salt:3257 (Packet.forwarding_flow p))
+      (Ecmp.lane_delay_ms lanes ~salt:3257 p)
+  in
+  for port = 1000 to 1063 do
+    let p = packet port in
+    List.iter
+      (fun count -> check (Ecmp.uniform_lanes ~count ~spread_ms:1.0) p)
+      [ 1; 2; 5 ];
+    Packet.encapsulate p
+      {
+        Packet.outer_src = Addr.of_string_exn "2001:db8:100::1";
+        outer_dst = Addr.of_string_exn "2001:db8:200::1";
+        udp_src = 40000 + port;
+        udp_dst = 4789;
+        tango = { Packet.timestamp_ns = 0L; seq = 0L; path_id = 0; flags = 0 };
+      };
+    List.iter
+      (fun count -> check (Ecmp.uniform_lanes ~count ~spread_ms:1.0) p)
+      [ 1; 2; 5 ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Fabric                                                              *)
 
@@ -635,6 +671,8 @@ let () =
           tc "lane stability" `Quick test_ecmp_lane_stability;
           tc "spread" `Quick test_ecmp_spread;
           tc "lane delays" `Quick test_ecmp_lane_delay;
+          tc "packet lane matches select" `Quick
+            test_ecmp_packet_lane_matches_select;
         ] );
       ( "fabric",
         [

@@ -179,6 +179,52 @@ let prefix_qcheck_subnet_disjoint =
       let a = Prefix.subnet p 4 (i mod 16) and b = Prefix.subnet p 4 (j mod 16) in
       i mod 16 = j mod 16 || not (Prefix.overlaps a b))
 
+(* Reference membership: mask the address with the prefix's full-width
+   mask and compare, the way [Prefix.mem] computed it before it worked on
+   64-bit words. *)
+let reference_mem p a =
+  let len = Prefix.length p in
+  match (Prefix.addr p, a) with
+  | Addr.V4 net, Addr.V4 x ->
+      let mask =
+        if len = 0 then 0l else Int32.shift_left Int32.minus_one (32 - len)
+      in
+      Int32.equal (Ipv4.to_int32 net) (Int32.logand (Ipv4.to_int32 x) mask)
+  | Addr.V6 net, Addr.V6 x ->
+      let mask = Ipv6.shift_left (Ipv6.lognot Ipv6.any) (128 - len) in
+      Ipv6.equal net (Ipv6.logand x mask)
+  | Addr.V4 _, Addr.V6 _ | Addr.V6 _, Addr.V4 _ -> false
+
+(* Random addresses of either family, plus prefixes cut from them so that
+   many (address, prefix) pairs share leading bits. *)
+let addr_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun x -> Addr.V4 (Ipv4.of_int32 x)) ui32;
+        map2 (fun hi lo -> Addr.V6 (Ipv6.make hi lo)) ui64 ui64;
+      ])
+
+let pp_addr_pair (a, b) = Printf.sprintf "%s %s" (Addr.to_string a) (Addr.to_string b)
+
+let prefix_qcheck_mem_reference =
+  QCheck.Test.make ~name:"mem equals the full-mask reference" ~count:20_000
+    QCheck.(
+      make ~print:(fun ((a, b), len) -> Printf.sprintf "%s /%d" (pp_addr_pair (a, b)) len)
+        Gen.(triple addr_gen addr_gen (int_bound 128) >|= fun (a, b, l) -> ((a, b), l)))
+    (fun ((net, a), len) ->
+      let p = Prefix.v net (len mod (Addr.family_bits net + 1)) in
+      (* Also probe an address that shares the prefix's leading bits. *)
+      let inside =
+        match (Prefix.addr p, a) with
+        | Addr.V6 n, Addr.V6 x when Prefix.length p < 128 ->
+            let host = Ipv6.lognot (Ipv6.shift_left (Ipv6.lognot Ipv6.any) (128 - Prefix.length p)) in
+            Addr.V6 (Ipv6.logor n (Ipv6.logand x host))
+        | _ -> Prefix.addr p
+      in
+      Bool.equal (Prefix.mem p a) (reference_mem p a)
+      && Bool.equal (Prefix.mem p inside) (reference_mem p inside))
+
 (* ------------------------------------------------------------------ *)
 (* Flow                                                                *)
 
@@ -207,6 +253,54 @@ let test_flow_hash_sensitivity () =
   let g = { f with Flow.src_port = f.Flow.src_port + 1 } in
   Alcotest.(check bool) "port matters" true
     (Flow.hash_5tuple f <> Flow.hash_5tuple g)
+
+(* The boxed-Int64 FNV-1a that [Flow.hash_5tuple] must reproduce bit for
+   bit: every byte of both addresses (a V4 address sign-extended to 64
+   bits), the protocol, both ports and the salt, least significant first. *)
+let reference_hash ~salt (t : Flow.t) =
+  let h = ref 0xcbf29ce484222325L in
+  let feed_byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) 0x100000001b3L
+  in
+  let feed_int64 x =
+    for shift = 0 to 7 do
+      feed_byte (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
+    done
+  in
+  let feed_addr = function
+    | Addr.V4 a -> feed_int64 (Int64.of_int32 (Ipv4.to_int32 a))
+    | Addr.V6 a ->
+        feed_int64 (Ipv6.hi a);
+        feed_int64 (Ipv6.lo a)
+  in
+  feed_addr t.Flow.src;
+  feed_addr t.Flow.dst;
+  feed_byte t.Flow.proto;
+  feed_byte t.Flow.src_port;
+  feed_byte (t.Flow.src_port lsr 8);
+  feed_byte t.Flow.dst_port;
+  feed_byte (t.Flow.dst_port lsr 8);
+  feed_int64 (Int64.of_int salt);
+  Int64.to_int (Int64.shift_right_logical !h 2)
+
+let flow_gen =
+  QCheck.Gen.(
+    map2
+      (fun (src, dst) (proto, src_port, dst_port) ->
+        Flow.v ~src ~dst ~proto ~src_port ~dst_port)
+      (pair addr_gen addr_gen)
+      (triple (int_bound 255) (int_bound 0xFFFF) (int_bound 0xFFFF)))
+
+let flow_qcheck_hash_reference =
+  QCheck.Test.make ~name:"hash_5tuple equals the boxed-Int64 reference"
+    ~count:100_000
+    QCheck.(
+      make
+        ~print:(fun (f, salt) -> Format.asprintf "%a salt=%d" Flow.pp f salt)
+        Gen.(pair flow_gen (oneof [ int; small_signed_int ])))
+    (fun (f, salt) ->
+      Flow.hash_5tuple ~salt f = reference_hash ~salt f
+      && (salt <> 0 || Flow.hash_5tuple f = reference_hash ~salt:0 f))
 
 let test_flow_invalid () =
   Alcotest.(check bool) "bad port raises" true
@@ -260,6 +354,20 @@ let test_packet_forwarding_flow () =
   Alcotest.(check string) "outer dst drives forwarding" "2001:db8:200::1"
     (Addr.to_string f.Flow.dst);
   Alcotest.(check int) "udp proto" 17 f.Flow.proto
+
+let test_packet_forwarding_hash () =
+  let p = Packet.create ~id:1 ~flow:(flow_a ()) ~payload_bytes:0 ~created_at:0.0 () in
+  let check label =
+    List.iter
+      (fun salt ->
+        Alcotest.(check int) label
+          (Flow.hash_5tuple ~salt (Packet.forwarding_flow p))
+          (Packet.forwarding_hash ~salt p))
+      [ 0; 1; 3257; -7 ]
+  in
+  check "raw: inner flow";
+  Packet.encapsulate p (sample_encap ());
+  check "tunneled: outer flow"
 
 let test_packet_decapsulate_raw () =
   let p = Packet.create ~id:1 ~flow:(flow_a ()) ~payload_bytes:0 ~created_at:0.0 () in
@@ -620,6 +728,7 @@ let () =
           tc "nth negative" `Quick test_prefix_nth_negative;
           tc "invalid" `Quick test_prefix_invalid;
           qc prefix_qcheck_subnet_disjoint;
+          qc prefix_qcheck_mem_reference;
         ] );
       ( "flow",
         [
@@ -628,12 +737,14 @@ let () =
           tc "hash deterministic" `Quick test_flow_hash_deterministic;
           tc "hash sensitivity" `Quick test_flow_hash_sensitivity;
           tc "invalid" `Quick test_flow_invalid;
+          qc flow_qcheck_hash_reference;
         ] );
       ( "packet",
         [
           tc "encap cycle" `Quick test_packet_encap_cycle;
           tc "double encap rejected" `Quick test_packet_double_encap_rejected;
           tc "forwarding flow" `Quick test_packet_forwarding_flow;
+          tc "forwarding hash" `Quick test_packet_forwarding_hash;
           tc "hops" `Quick test_packet_hops;
           tc "decapsulate raw" `Quick test_packet_decapsulate_raw;
         ] );
