@@ -93,13 +93,27 @@ let test_tracker =
          Tango_dataplane.Seq_tracker.observe tracker !seq;
          seq := Int64.add !seq 1L))
 
-let test_heap =
-  let heap = Tango_sim.Heap.create ~cmp:Float.compare () in
-  let rng = Tango_sim.Rng.create ~seed:1 in
-  Test.make ~name:"heap push+pop"
+(* One engine holding 1024 pending events: each op queues one more with
+   a preallocated callback and fires the earliest, so the queue depth
+   stays at 1024. The four delays (static constants, never boxed per
+   op) land new events both at the back and mid-queue, so the sift-up
+   and the sift-down both do real work. *)
+let test_engine =
+  let engine = Tango_sim.Engine.create ~heap_capacity:2048 () in
+  let callback (_ : Tango_sim.Engine.t) = () in
+  for i = 1 to 1024 do
+    Tango_sim.Engine.schedule engine ~delay:(float_of_int i *. 1e-3) callback
+  done;
+  let turn = ref 0 in
+  Test.make ~name:"engine schedule+step (1024 pending)"
     (Staged.stage (fun () ->
-         Tango_sim.Heap.push heap (Tango_sim.Rng.float rng 1.0);
-         ignore (Tango_sim.Heap.pop heap)))
+         incr turn;
+         (match !turn land 3 with
+         | 0 -> Tango_sim.Engine.schedule engine ~delay:1.024 callback
+         | 1 -> Tango_sim.Engine.schedule engine ~delay:0.25 callback
+         | 2 -> Tango_sim.Engine.schedule engine ~delay:0.75 callback
+         | _ -> Tango_sim.Engine.schedule engine ~delay:0.5 callback);
+         ignore (Tango_sim.Engine.step engine)))
 
 let test_rng =
   let rng = Tango_sim.Rng.create ~seed:2 in
@@ -484,7 +498,7 @@ let all_tests =
       test_rolling_extrema;
       test_jitter;
       test_tracker;
-      test_heap;
+      test_engine;
       test_rng;
       test_policy_uncached;
       test_flow_cache_hit;

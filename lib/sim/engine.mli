@@ -10,10 +10,11 @@ type t
 
 val create : ?seed:int -> ?heap_capacity:int -> unit -> t
 (** [create ~seed ()] builds an engine with its clock at [0.0]. The
-    default seed is [42]. [heap_capacity] pre-sizes the event queue —
-    pass the expected number of concurrently pending events when one
-    engine hosts a whole mesh of PoPs (see {!Tango_mesh}) so the queue
-    never re-copies mid-run. *)
+    default seed is [42]. [heap_capacity] sizes the event queue up front
+    (at least 16 slots; it doubles when full) — pass the expected number
+    of concurrently pending events when one engine hosts a whole mesh of
+    PoPs (see {!Tango_mesh}) so the queue never re-copies mid-run. A
+    negative [heap_capacity] raises [Invalid_argument]. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -22,16 +23,18 @@ val rng : t -> Rng.t
 (** The engine's root generator. *)
 
 val schedule : t -> delay:float -> (t -> unit) -> unit
-(** [schedule t ~delay f] runs [f] at [now t +. delay]. A negative delay
-    raises [Invalid_argument]. *)
+(** [schedule t ~delay f] runs [f] at [now t +. delay]. A negative or NaN
+    delay raises [Invalid_argument]. *)
 
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute virtual [time], which
-    must not precede [now t]. *)
+    must not precede [now t]; an earlier or NaN [time] raises
+    [Invalid_argument]. *)
 
 val every : t -> interval:float -> ?until:float -> (t -> unit) -> unit
 (** [every t ~interval ?until f] runs [f] now and then every [interval]
-    seconds, stopping once the clock would pass [until] (if given). *)
+    seconds, stopping once the clock would pass [until] (if given). A
+    non-positive or NaN [interval] raises [Invalid_argument]. *)
 
 val pending : t -> int
 (** Number of queued events. *)

@@ -285,6 +285,19 @@ let test_e2e_determinism () =
     b.Mesh.fingerprint;
   Alcotest.(check int) "rejections repeat" a.Mesh.rejected b.Mesh.rejected
 
+(* Golden across versions: a change that reorders events or perturbs
+   the attested relay-kill run moves this fingerprint. An intended
+   behaviour change updates the literal and says so in CHANGES.md. *)
+let test_e2e_golden () =
+  let r =
+    Mesh.run ~pops:32 ~seed:42 ~attest:true
+      ~specs:(scenario_specs "relay-kill") ()
+  in
+  Alcotest.(check int) "relay killed" 7 r.Mesh.killed;
+  Alcotest.(check int) "delivered" 35619 r.Mesh.delivered;
+  Alcotest.(check string) "32-PoP attested relay-kill fingerprint"
+    "b93b5716c031dfc-8c254bab9e1cd28" r.Mesh.fingerprint
+
 let () =
   let tc = Alcotest.test_case in
   let qc = QCheck_alcotest.to_alcotest in
@@ -314,5 +327,6 @@ let () =
           tc "clean sweep stays spotless" `Quick test_e2e_clean_sweep;
           tc "quarantine then readmit" `Quick test_e2e_quarantine_readmit;
           tc "attested runs deterministic" `Quick test_e2e_determinism;
+          tc "attested relay-kill golden" `Quick test_e2e_golden;
         ] );
     ]

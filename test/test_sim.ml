@@ -1,4 +1,5 @@
-(* Tests for the simulation substrate: RNG, heap, engine, statistics. *)
+(* Tests for the simulation substrate: RNG, the engine's event heap, engine,
+   statistics. *)
 
 open Tango_sim
 
@@ -112,59 +113,82 @@ let test_rng_choice () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
+(* Event heap: the engine's queue, driven through the Engine API       *)
+
+(* Queue one event per time, each logging its time when it fires. *)
+let schedule_logging e log times =
+  List.iter
+    (fun time -> Engine.schedule_at e ~time (fun e -> log := Engine.now e :: !log))
+    times
 
 let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ]
-    (Heap.to_sorted_list h);
-  Alcotest.(check int) "length preserved" 7 (Heap.length h)
+  let e = Engine.create () in
+  let log = ref [] in
+  schedule_logging e log [ 5.; 3.; 8.; 1.; 9.; 2.; 7. ];
+  Alcotest.(check int) "all pending" 7 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "sorted drain"
+    [ 1.; 2.; 3.; 5.; 7.; 8.; 9. ] (List.rev !log)
 
 let test_heap_pop_order () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 4; 1; 3 ];
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Heap.push h 0;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 4" (Some 4) (Heap.pop h);
-  Alcotest.(check (option int)) "empty" None (Heap.pop h)
+  let e = Engine.create () in
+  let log = ref [] in
+  schedule_logging e log [ 4.; 1.; 3. ];
+  let step_fires name time =
+    Alcotest.(check bool) (name ^ " stepped") true (Engine.step e);
+    Alcotest.(check (float 0.0)) name time (List.hd !log)
+  in
+  step_fires "pop 1" 1.;
+  step_fires "pop 3" 3.;
+  schedule_logging e log [ 3.5 ];
+  step_fires "pop 3.5" 3.5;
+  step_fires "pop 4" 4.;
+  Alcotest.(check bool) "empty" false (Engine.step e)
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+  let e = Engine.create () in
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Alcotest.(check bool) "step on empty" false (Engine.step e);
+  Engine.run ~until:5.0 e;
+  check_float "empty run leaves the clock" 0.0 (Engine.now e)
 
 let test_heap_clear () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h)
+  let e = Engine.create () in
+  schedule_logging e (ref []) [ 1.; 2.; 3. ];
+  Engine.cancel_all e;
+  Alcotest.(check int) "cleared" 0 (Engine.pending e);
+  Alcotest.(check bool) "nothing left to step" false (Engine.step e)
 
 let heap_qcheck_sorted =
   QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
     QCheck.(list int)
     (fun l ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) l;
-      Heap.to_sorted_list h = List.sort Int.compare l)
+      let e = Engine.create () in
+      let log = ref [] in
+      let times = List.map (fun x -> float_of_int (x land max_int)) l in
+      schedule_logging e log times;
+      Engine.run e;
+      List.rev !log = List.sort Float.compare times)
 
 let heap_qcheck_pop_monotone =
   QCheck.Test.make ~name:"heap pops are monotone" ~count:200
     QCheck.(list small_int)
     (fun l ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) l;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some x -> x >= prev && drain x
+      let e = Engine.create () in
+      let log = ref [] in
+      (* Many ties: equal times must also pop in scheduling order. *)
+      List.iteri
+        (fun i x ->
+          Engine.schedule_at e ~time:(float_of_int x) (fun e ->
+              log := (Engine.now e, i) :: !log))
+        l;
+      Engine.run e;
+      let rec monotone = function
+        | (t1, i1) :: ((t2, i2) :: _ as rest) ->
+            (t1 < t2 || (Float.equal t1 t2 && i1 < i2)) && monotone rest
+        | [ _ ] | [] -> true
       in
-      drain min_int)
+      List.length !log = List.length l && monotone (List.rev !log))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -245,6 +269,175 @@ let test_engine_cancel_all () =
   Engine.cancel_all e;
   Engine.run e;
   check_float "clock untouched" 0.0 (Engine.now e)
+
+let test_engine_rejects_nan () =
+  (* A NaN delay used to be accepted: it fired ahead of the events
+     queued for t = 1.0 and set the clock to NaN, which then let a
+     [schedule_at ~time:0.5] through. *)
+  let e = Engine.create () in
+  let order = ref [] in
+  let log name (_ : Engine.t) = order := name :: !order in
+  Engine.schedule e ~delay:1.0 (log "a");
+  Engine.schedule e ~delay:1.0 (log "b");
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: NaN delay")
+    (fun () -> Engine.schedule e ~delay:Float.nan (log "nan"));
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Engine.schedule_at: NaN time") (fun () ->
+      Engine.schedule_at e ~time:Float.nan (log "nan"));
+  Alcotest.check_raises "NaN interval"
+    (Invalid_argument "Engine.every: NaN interval") (fun () ->
+      Engine.every e ~interval:Float.nan (log "nan"));
+  Engine.run e;
+  Alcotest.(check (list string)) "only the real events fired" [ "a"; "b" ]
+    (List.rev !order);
+  check_float "clock is a number" 1.0 (Engine.now e);
+  Alcotest.check_raises "past still rejected"
+    (Invalid_argument "Engine.schedule_at: time 0.5 precedes now 1") (fun () ->
+      Engine.schedule_at e ~time:0.5 (log "past"))
+
+(* Differential check of the event queue against a reference list kept
+   in [(time, seq)] order. Delays and offsets are whole quarter-seconds
+   from a small range, so many events share an instant; an event may
+   schedule one child from inside its callback. *)
+
+type op =
+  | Sched of int * int option  (** delay, child delay *)
+  | Sched_at of int * int option  (** offset from now, child delay *)
+  | Step
+  | Run
+  | Run_until of int  (** offset from now *)
+  | Run_max of int
+  | Run_until_max of int * int
+  | Cancel
+
+let show_op =
+  let child = function None -> "" | Some d -> Printf.sprintf " +child %d" d in
+  function
+  | Sched (d, c) -> Printf.sprintf "schedule %d%s" d (child c)
+  | Sched_at (k, c) -> Printf.sprintf "schedule_at now+%d%s" k (child c)
+  | Step -> "step"
+  | Run -> "run"
+  | Run_until k -> Printf.sprintf "run ~until:now+%d" k
+  | Run_max n -> Printf.sprintf "run ~max_events:%d" n
+  | Run_until_max (k, n) -> Printf.sprintf "run ~until:now+%d ~max_events:%d" k n
+  | Cancel -> "cancel_all"
+
+let quarters k = float_of_int k *. 0.25
+
+let op_gen =
+  QCheck.Gen.(
+    let k = int_range 0 4 in
+    let child = frequency [ (7, return None); (3, map Option.some k) ] in
+    frequency
+      [
+        (4, map2 (fun d c -> Sched (d, c)) k child);
+        (3, map2 (fun d c -> Sched_at (d, c)) k child);
+        (3, return Step);
+        (1, return Run);
+        (1, map (fun k -> Run_until k) k);
+        (1, map (fun n -> Run_max n) (int_range 0 5));
+        (1, map2 (fun k n -> Run_until_max (k, n)) k (int_range 0 5));
+        (1, return Cancel);
+      ])
+
+type ref_event = { time : float; seq : int; id : int; child : int option }
+
+type model = {
+  mutable clock : float;
+  mutable next_seq : int;
+  mutable queue : ref_event list;  (** ascending [(time, seq)] *)
+  mutable fired : int list;  (** newest first *)
+}
+
+let before a b = a.time < b.time || (Float.equal a.time b.time && a.seq < b.seq)
+
+let model_push m ~time ~id ~child =
+  let ev = { time; seq = m.next_seq; id; child } in
+  m.next_seq <- m.next_seq + 1;
+  let rec insert = function
+    | x :: rest when before x ev -> x :: insert rest
+    | l -> ev :: l
+  in
+  m.queue <- insert m.queue
+
+let model_fire m =
+  match m.queue with
+  | [] -> ()
+  | ev :: rest ->
+      m.queue <- rest;
+      m.clock <- ev.time;
+      m.fired <- ev.id :: m.fired;
+      Option.iter
+        (fun d -> model_push m ~time:(m.clock +. quarters d) ~id:(-ev.id - 1) ~child:None)
+        ev.child
+
+(* [run]'s contract: fire in order while the budget lasts and the next
+   event is not past [stop]; an event left past [stop] moves the clock
+   to [stop]. *)
+let model_run m ~stop ~budget =
+  let executed = ref 0 in
+  let due () = match m.queue with ev :: _ -> not (ev.time > stop) | [] -> false in
+  while !executed < budget && due () do
+    model_fire m;
+    incr executed
+  done;
+  if !executed < budget && m.queue <> [] then m.clock <- stop
+
+let engine_qcheck_differential =
+  QCheck.Test.make ~name:"queue matches a (time, seq) reference model" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list show_op)
+       QCheck.Gen.(list_size (int_range 0 80) op_gen))
+    (fun ops ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let rec callback id child engine =
+        log := id :: !log;
+        Option.iter
+          (fun d -> Engine.schedule engine ~delay:(quarters d) (callback (-id - 1) None))
+          child
+      in
+      let m = { clock = 0.0; next_seq = 0; queue = []; fired = [] } in
+      let next_id = ref 0 in
+      let apply = function
+        | Sched (d, child) ->
+            incr next_id;
+            Engine.schedule e ~delay:(quarters d) (callback !next_id child);
+            model_push m ~time:(m.clock +. quarters d) ~id:!next_id ~child
+        | Sched_at (k, child) ->
+            incr next_id;
+            Engine.schedule_at e ~time:(Engine.now e +. quarters k)
+              (callback !next_id child);
+            model_push m ~time:(m.clock +. quarters k) ~id:!next_id ~child
+        | Step ->
+            let stepped = Engine.step e in
+            if stepped <> (m.queue <> []) then failwith "step result";
+            model_fire m
+        | Run ->
+            Engine.run e;
+            model_run m ~stop:Float.infinity ~budget:max_int
+        | Run_until k ->
+            let stop = Engine.now e +. quarters k in
+            Engine.run ~until:stop e;
+            model_run m ~stop ~budget:max_int
+        | Run_max n ->
+            Engine.run ~max_events:n e;
+            model_run m ~stop:Float.infinity ~budget:n
+        | Run_until_max (k, n) ->
+            let stop = Engine.now e +. quarters k in
+            Engine.run ~until:stop ~max_events:n e;
+            model_run m ~stop ~budget:n
+        | Cancel ->
+            Engine.cancel_all e;
+            m.queue <- []
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          !log = m.fired
+          && Float.equal (Engine.now e) m.clock
+          && Engine.pending e = List.length m.queue)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -364,6 +557,8 @@ let () =
           tc "negative delay" `Quick test_engine_negative_delay;
           tc "schedule in past" `Quick test_engine_schedule_past;
           tc "cancel all" `Quick test_engine_cancel_all;
+          tc "rejects NaN" `Quick test_engine_rejects_nan;
+          qc engine_qcheck_differential;
         ] );
       ( "stats",
         [

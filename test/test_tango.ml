@@ -724,6 +724,36 @@ let test_mesh_direct_unaffected () =
   Alcotest.(check bool) "direct ~28ms" true
     (lat.Tango_sim.Stats.p50 > 0.027 && lat.Tango_sim.Stats.p50 < 0.030)
 
+(* Golden across versions: a 20 s Fig. 4 run (jitter-aware NY sender,
+   1 ms app traffic). An event reorder moves the latency bits or the
+   switch count; an intended behaviour change updates the literals and
+   says so in CHANGES.md. *)
+let test_pair_fig4_golden () =
+  let horizon_s = 20.0 in
+  let scenario = Tango_workload.Fig4.create ~seed:42 ~horizon_s () in
+  let pair =
+    Pair.setup_vultr ~seed:42 ~scenario
+      ~policy_ny:
+        (Policy.Jitter_aware
+           { beta = 5.0; hysteresis_ms = 1.0; min_dwell_s = 2.0 })
+      ()
+  in
+  let engine = Pair.engine pair in
+  let ny = Pair.pop_ny pair and la = Pair.pop_la pair in
+  let t0 = Tango_sim.Engine.now engine in
+  Pair.start_measurement pair ~probe_interval_s:0.01 ~for_s:horizon_s ();
+  Tango_workload.Traffic.periodic engine ~interval_s:0.001
+    ~until_s:(t0 +. horizon_s) (fun _ -> ignore (Pop.send_app ny ()));
+  Pair.run_for pair (horizon_s +. 1.0);
+  let app = Series.stats (Pop.app_latency_series la) in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  Alcotest.(check int) "delivered" 20000 (Pop.app_received la);
+  Alcotest.(check string) "app latency mean bits" "3fa139e108a79e84"
+    (bits app.Tango_sim.Stats.mean);
+  Alcotest.(check string) "app latency p99 bits" "3fb40000c42b9879"
+    (bits app.Tango_sim.Stats.p99);
+  Alcotest.(check int) "policy switches" 5 (Pop.policy_switches ny)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "tango_core"
@@ -798,5 +828,6 @@ let () =
           tc "silent blackhole failover" `Slow test_pair_silent_blackhole_failover;
           tc "probe accounting" `Slow test_pair_probe_accounting;
           tc "generic topology" `Quick test_pair_generic_topology;
+          tc "Fig 4 golden" `Quick test_pair_fig4_golden;
         ] );
     ]
