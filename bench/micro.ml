@@ -484,6 +484,27 @@ let test_attest_verify =
   Test.make ~name:"mesh.attest.verify (4 hops)"
     (Staged.stage (fun () -> ignore (M_attest.check attest_verifier attest_stack)))
 
+(* Load plan schedule (E16, the lanes-heavytail plan): one generation
+   of the active-flow cursor over 2x10^4 flows on one lane, cycling
+   through the 2000-generation horizon so the op averages the diurnal
+   peaks and troughs. Must stay at zero minor words/op. *)
+
+let cursor_plan =
+  Tango_workload.Load.plan
+    (Tango_workload.Load.default_config ~flows:20_000 ~generations:2_000
+       ~seed:1 ())
+
+let cursor =
+  Tango_workload.Load.cursor cursor_plan ~flows:(Array.init 20_000 Fun.id)
+
+let cursor_gen = ref 0
+
+let test_cursor_advance =
+  Test.make ~name:"load cursor advance (20k flows, 1 lane)"
+    (Staged.stage (fun () ->
+         ignore (Tango_workload.Load.advance cursor ~gen:!cursor_gen);
+         cursor_gen := if !cursor_gen = 1_999 then 0 else !cursor_gen + 1))
+
 let all_tests =
   Test.make_grouped ~name:"tango"
     [
@@ -520,6 +541,7 @@ let all_tests =
       test_arbor_next;
       test_attest_fold;
       test_attest_verify;
+      test_cursor_advance;
     ]
 
 (* ------------------------------------------------------------------ *)

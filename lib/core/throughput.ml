@@ -170,6 +170,7 @@ type lane_env = {
   l_local : int array;  (* global flow id -> lane-local tracker key *)
   l_path_rings : Shard.Ring.t array;  (* in-flight arrivals, per path *)
   l_batch : Batch.t;
+  l_cursor : Load.cursor option;  (* the plan's sends; [None] = uniform *)
   l_t0 : float;  (* virtual time of generation 0 (post-convergence) *)
   mutable l_epoch : int;
   mutable l_offered : int;
@@ -185,7 +186,7 @@ type lane_env = {
    [cache_capacity] (per lane; [None] keeps the pre-existing unbounded
    behavior). *)
 let build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
-    ~tracker_ceiling ~tracker_idle_gens ~ring_cap ~own_flows ~local =
+    ~tracker_ceiling ~tracker_idle_gens ~ring_cap ~own_flows ~local ~cursor =
   let topo = build_topology ~first_hop_ms () in
   let engine = Engine.create ~seed () in
   let net = Network.create topo engine in
@@ -230,6 +231,7 @@ let build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
          load. *)
       Array.init paths (fun _ -> Shard.Ring.create ~capacity:ring_cap);
     l_batch = Batch.create ();
+    l_cursor = cursor;
     l_t0 = Engine.now engine;
     l_epoch = 0;
     l_offered = 0;
@@ -241,8 +243,7 @@ let build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
 (* ------------------------------------------------------------------ *)
 (* The lane body: the per-packet hot path.                              *)
 
-let lane_main env out_ring ~flows ~my_flows ~plan ~uniform ~generations
-    ~batch_limit =
+let lane_main env out_ring ~flows ~my_flows ~generations ~batch_limit =
   (* Each domain has its own minor heap; widen it to 8 M words (64 MB)
      so minor collections — stop-the-world across every domain — stay
      rare during the run. Wider is not better: sizing each arena to the
@@ -377,20 +378,24 @@ let lane_main env out_ring ~flows ~my_flows ~plan ~uniform ~generations
        would otherwise box a fresh Int64 per packet). *)
     let ts_ns = Clock.now_ns env.l_clock ~sim_time_s:ts in
     let gen64 = Int64.of_int gen in
-    if uniform then
-      (* Full-mesh blast: every flow sends every generation, sequence =
-         generation; the hoisted [gen64] serves every packet. *)
-      for fi = 0 to Array.length my_flows - 1 do
-        send_one (Array.unsafe_get my_flows fi) gen gen64 ts ts_ns gen epoch
-      done
-    else
-      for fi = 0 to Array.length my_flows - 1 do
-        let f = Array.unsafe_get my_flows fi in
-        if Load.sends_at plan ~flow:f ~gen then begin
-          let sidx = Load.seq_index plan ~flow:f ~gen in
-          send_one f sidx (Int64.of_int sidx) ts ts_ns gen epoch
-        end
-      done;
+    (match env.l_cursor with
+    | None ->
+        (* Full-mesh blast: every flow sends every generation, sequence =
+           generation; the hoisted [gen64] serves every packet. *)
+        for fi = 0 to Array.length my_flows - 1 do
+          send_one (Array.unsafe_get my_flows fi) gen gen64 ts ts_ns gen epoch
+        done
+    | Some cur ->
+        (* The plan: only the sends the active-flow cursor emits, in
+           ascending flow id — the order the cache's clock hand and the
+           tracker confirms see at every lane count. *)
+        let n = Load.advance cur ~gen in
+        let sends = Load.emitted_flows cur and sidxs = Load.emitted_seqs cur in
+        for i = 0 to n - 1 do
+          let sidx = Array.unsafe_get sidxs i in
+          send_one (Array.unsafe_get sends i) sidx (Int64.of_int sidx) ts ts_ns
+            gen epoch
+        done);
     flush ts;
     (* Drop the batch's stale slot references: if a minor collection
        lands between generations it finds no transient packets live. *)
@@ -499,11 +504,11 @@ let run ?(domains = 1) ?(batch = Batch.capacity) ?(flows = 512)
   in
   let lane_flows = Array.make domains 0 in
   Array.iter (fun l -> lane_flows.(l) <- lane_flows.(l) + 1) flow_lane;
-  (* Per-lane flow index lists (in increasing flow order, so each lane
-     visits its flows in the same order at any lane count): the lane
-     loop walks only its own flows instead of filtering all of them —
-     the filter scan was per-generation fixed cost scaling with the
-     lane count. *)
+  (* Per-lane flow index lists, in increasing flow order so each lane
+     visits its flows in the same order at any lane count. The uniform
+     blast walks them directly; a plan's lane builds its active-flow
+     cursor from them, so a generation touches only the flows live in
+     it rather than every flow the lane owns. *)
   let lane_flow_idx =
     let next = Array.make domains 0 in
     let idx = Array.init domains (fun l -> Array.make (max 1 lane_flows.(l)) 0) in
@@ -538,7 +543,10 @@ let run ?(domains = 1) ?(batch = Batch.capacity) ?(flows = 512)
         Array.iteri (fun i f -> local.(f) <- i) lane_flow_idx.(l);
         build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
           ~tracker_ceiling ~tracker_idle_gens ~ring_cap
-          ~own_flows:lane_flows.(l) ~local)
+          ~own_flows:lane_flows.(l) ~local
+          ~cursor:
+            (if uniform then None
+             else Some (Load.cursor plan ~flows:lane_flow_idx.(l))))
   in
   (* Freeze the process-wide registry while lanes run: the direct path
      never touches it, and freezing turns any accidental use into a
@@ -562,8 +570,7 @@ let run ?(domains = 1) ?(batch = Batch.capacity) ?(flows = 512)
     ~capacity_of:(fun ~lane -> max 1 lane_sends.(lane))
     ~lane:(fun ~lane ring ->
       lane_main envs.(lane) ring ~flows:flow_slots
-        ~my_flows:lane_flow_idx.(lane) ~plan ~uniform ~generations
-        ~batch_limit:batch)
+        ~my_flows:lane_flow_idx.(lane) ~generations ~batch_limit:batch)
     ~consume:(fun ~lane:_ r ->
       incr merged;
       let h = record_hash r in

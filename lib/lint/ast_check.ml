@@ -44,6 +44,7 @@ let default =
         "mesh/relay.ml";
         "mesh/mtopo.ml";
         "mesh/attest.ml";
+        "workload/load.ml";
       ];
     domsafe_modules =
       [

@@ -60,6 +60,9 @@ module Ring = struct
     let tail = Atomic.get t.tail in
     if tail - Atomic.get t.head > t.mask then
       invalid_arg "Shard.Ring.push: ring full (undersized for the workload)";
+    (* A NaN head compares false both ways and would break the merge's
+       time order. *)
+    if Float.is_nan time then invalid_arg "Shard.Ring.push: NaN time";
     let i = tail land t.mask in
     Array.unsafe_set t.time i time;
     Array.unsafe_set t.a i a;
@@ -104,7 +107,9 @@ let pop_into (ring : Ring.t) (r : record) =
 (* Drain [rings] in (time, lane-id, ring-position) order: repeatedly pop
    the globally smallest head record, scanning lanes ascending with a
    strict < so ties resolve to the lowest lane id; within one lane, ring
-   order (the lane's own emission order) is preserved by construction. *)
+   order (the lane's own emission order) is preserved by construction.
+   The first non-empty lane is taken unconditionally, so records stamped
+   [infinity] drain too. *)
 let merge rings ~consume =
   let lanes = Array.length rings in
   let r = scratch () in
@@ -115,7 +120,7 @@ let merge rings ~consume =
     for lane = 0 to lanes - 1 do
       if not (Ring.is_empty rings.(lane)) then begin
         let t = Ring.peek_time rings.(lane) in
-        if t < !best_time then begin
+        if !best_lane < 0 || t < !best_time then begin
           best_time := t;
           best_lane := lane
         end

@@ -31,7 +31,8 @@ module Ring : sig
   val push : t -> time:float -> a:int -> b:int -> c:int -> v:float -> unit
   (** Publish one record ([@hot], allocation-free). The ring does not
       block: the caller sizes it for the workload (one slot per record
-      it will ever push), and overflow raises [Invalid_argument]. *)
+      it will ever push), and overflow raises [Invalid_argument], as
+      does a NaN [time]. *)
 
   val peek_time : t -> float
   (** Timestamp of the oldest unread record, [infinity] when empty. *)
@@ -61,7 +62,8 @@ val pop_into : Ring.t -> record -> unit
 val merge : Ring.t array -> consume:(lane:int -> record -> unit) -> unit
 (** Drain every ring in (time, lane-id, ring-position) order — the
     deterministic k-way merge. Ties on time resolve to the lowest lane
-    id; records of one lane keep their emission order. *)
+    id (also at [infinity]); records of one lane keep their emission
+    order. *)
 
 val run :
   lanes:int ->

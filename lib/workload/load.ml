@@ -15,11 +15,14 @@
      one packet every [video_stride] generations).
 
    The output is a [plan]: four flat int arrays (class, start, stride,
-   packet count) indexed by flow. A plan is pure data — the dataplane
-   asks [sends_at] per (flow, generation) and derives the tunnel
-   sequence number from [seq_index], so the same plan drives any lane
-   partition to byte-identical schedules. Everything derives from the
-   seed via SplitMix64; no wall clock, no global state. *)
+   packet count) indexed by flow. A plan is pure data. [sends_at] and
+   [seq_index] answer per (flow, generation) and are the reference
+   semantics; the dataplane instead walks a per-lane [cursor], which
+   visits only the flows live at each generation and emits exactly the
+   (flow, send index) pairs [sends_at] would, in ascending flow id — so
+   the same plan drives any lane partition to byte-identical schedules.
+   Everything derives from the seed via SplitMix64; no wall clock, no
+   global state. *)
 
 module Rng = Tango_sim.Rng
 
@@ -238,6 +241,119 @@ let[@inline] sends_at plan ~flow ~gen =
 let[@inline] seq_index plan ~flow ~gen =
   (gen - Array.unsafe_get plan.start_gen flow)
   / Array.unsafe_get plan.stride flow
+
+(* The active-flow cursor. Testing every owned flow with [sends_at] on
+   every generation costs (flows x generations) tests for far fewer
+   sends; the cursor keeps instead the ascending list of flows that have
+   started and not yet finished, and each generation merges it with the
+   (ascending) bucket of flows starting there, dropping finished flows
+   and emitting the ones whose stride divides their age. The work per
+   generation is O(live + starting), and the merge keeps the emission
+   order ascending by flow id, the order the scan it replaces had. *)
+type cursor = {
+  c_plan : plan;
+  c_first : int array;  (* CSR offsets into [c_by_start], per generation *)
+  c_by_start : int array;  (* lane flows by start generation, then id *)
+  mutable c_live : int array;  (* started, unfinished flows, ascending *)
+  mutable c_spare : int array;  (* the next generation's live list *)
+  mutable c_n_live : int;
+  mutable c_next : int;  (* the generation [advance] expects next *)
+  c_flow : int array;  (* emitted flow ids, ascending *)
+  c_seq : int array;  (* their send indices *)
+}
+
+let cursor plan ~flows:own =
+  let n = Array.length own and gens = plan.config.generations in
+  Array.iteri
+    (fun i f ->
+      if f < 0 || f >= plan.config.flows then
+        invalid_arg "Load.cursor: flow id outside the plan";
+      if i > 0 && f <= own.(i - 1) then
+        invalid_arg "Load.cursor: flows must be strictly ascending")
+    own;
+  (* Counting sort by start generation: stable, so ids stay ascending
+     inside each bucket. *)
+  let first = Array.make (gens + 1) 0 in
+  Array.iter
+    (fun f ->
+      let s = plan.start_gen.(f) in
+      first.(s + 1) <- first.(s + 1) + 1)
+    own;
+  for g = 1 to gens do
+    first.(g) <- first.(g) + first.(g - 1)
+  done;
+  let fill = Array.sub first 0 gens in
+  let by_start = Array.make n 0 in
+  Array.iter
+    (fun f ->
+      let s = plan.start_gen.(f) in
+      by_start.(fill.(s)) <- f;
+      fill.(s) <- fill.(s) + 1)
+    own;
+  {
+    c_plan = plan;
+    c_first = first;
+    c_by_start = by_start;
+    c_live = Array.make n 0;
+    c_spare = Array.make n 0;
+    c_n_live = 0;
+    c_next = 0;
+    c_flow = Array.make n 0;
+    c_seq = Array.make n 0;
+  }
+
+let[@hot] advance cur ~gen =
+  if gen <> 0 && gen <> cur.c_next then
+    invalid_arg "Load.advance: generations must run 0, 1, 2, ...";
+  let p = cur.c_plan in
+  let live = cur.c_live and next = cur.c_spare in
+  let n_live = if gen = 0 then 0 else cur.c_n_live in
+  let by_start = cur.c_by_start in
+  let in_horizon = gen < p.config.generations in
+  let b = ref (if in_horizon then Array.unsafe_get cur.c_first gen else 0) in
+  let b_end = if in_horizon then Array.unsafe_get cur.c_first (gen + 1) else 0 in
+  let i = ref 0 and kept = ref 0 and out = ref 0 in
+  while !i < n_live || !b < b_end do
+    let f =
+      if
+        !b >= b_end
+        || (!i < n_live
+           && Array.unsafe_get live !i < Array.unsafe_get by_start !b)
+      then begin
+        let f = Array.unsafe_get live !i in
+        incr i;
+        f
+      end
+      else begin
+        let f = Array.unsafe_get by_start !b in
+        incr b;
+        f
+      end
+    in
+    let d = gen - Array.unsafe_get p.start_gen f in
+    let st = Array.unsafe_get p.stride f in
+    (* Live while the age is within the last send's, (pkts - 1) strides. *)
+    if d <= (Array.unsafe_get p.pkts f - 1) * st then begin
+      Array.unsafe_set next !kept f;
+      incr kept;
+      (* Stride 1 (RPC and bulk) skips the division. *)
+      let sidx = if st = 1 then d else if d mod st = 0 then d / st else -1 in
+      if sidx >= 0 then begin
+        Array.unsafe_set cur.c_flow !out f;
+        Array.unsafe_set cur.c_seq !out sidx;
+        incr out
+      end
+    end
+  done;
+  cur.c_live <- next;
+  cur.c_spare <- live;
+  cur.c_n_live <- !kept;
+  cur.c_next <- gen + 1;
+  !out
+
+let emitted_flows cur = cur.c_flow
+
+let emitted_seqs cur = cur.c_seq
 
 let class_counts plan =
   let rpc = ref 0 and bulk = ref 0 and video = ref 0 in

@@ -3,9 +3,11 @@
 
     A {!plan} is pure data — flat per-flow arrays of (class, start
     generation, send stride, packet count) — built deterministically
-    from a seed. The dataplane asks {!sends_at} per (flow, generation)
-    and numbers tunnel sequences with {!seq_index}, so any lane
-    partition of the same plan produces byte-identical schedules. *)
+    from a seed. {!sends_at} and {!seq_index} are the reference
+    semantics per (flow, generation); the dataplane walks a per-lane
+    {!cursor} that emits exactly those sends, in ascending flow id,
+    touching only the flows live at each generation. Any lane partition
+    of the same plan produces byte-identical schedules. *)
 
 type cls = Rpc | Bulk | Video
 
@@ -86,6 +88,34 @@ val sends_at : plan -> flow:int -> gen:int -> bool
 val seq_index : plan -> flow:int -> gen:int -> int
 (** 0-based send index of the flow at a generation where {!sends_at}
     holds — the packet's tunnel sequence number. *)
+
+(** {2 Active-flow cursor} *)
+
+type cursor
+(** One lane's iterator over the plan: a CSR index of its flows by
+    start generation, the ascending list of live flows (started, not yet
+    finished) and preallocated output arrays. *)
+
+val cursor : plan -> flows:int array -> cursor
+(** Index the lane's flows, given as strictly ascending flow ids of the
+    plan. O(flows + generations). Raises [Invalid_argument] on an id
+    outside the plan or an unsorted list. *)
+
+val advance : cursor -> gen:int -> int
+(** Step to generation [gen] and return [n], the number of sends there.
+    Positions [0 .. n-1] of {!emitted_flows} and {!emitted_seqs} then
+    hold, in ascending flow id, exactly the lane's flows where
+    {!sends_at} holds and their {!seq_index}. One merge pass over the
+    live flows and those starting at [gen]; allocation-free. [gen] must
+    be [0] (which restarts the cursor) or the previous call's [gen + 1];
+    otherwise raises [Invalid_argument]. *)
+
+val emitted_flows : cursor -> int array
+(** The output array of flow ids, filled by {!advance}; the same array
+    for the cursor's lifetime. *)
+
+val emitted_seqs : cursor -> int array
+(** The output array of send indices, parallel to {!emitted_flows}. *)
 
 val class_counts : plan -> int * int * int
 (** (rpc, bulk, video) flow counts. *)

@@ -125,7 +125,12 @@ let test_default_covers_multicore () =
     (fun frag ->
       Alcotest.(check bool) frag true
         (List.mem frag Ast_check.default.Ast_check.hot_modules))
-    [ "dataplane/batch.ml"; "sim/shard.ml"; "core/throughput.ml" ]
+    [
+      "dataplane/batch.ml";
+      "sim/shard.ml";
+      "core/throughput.ml";
+      "workload/load.ml";
+    ]
 
 let test_poly_bad () =
   check_findings "poly_bad.ml"

@@ -299,6 +299,29 @@ let test_load_fingerprint_deterministic () =
   Alcotest.(check int) "same delivery count" r_one.Throughput.delivered
     r1.Throughput.delivered
 
+(* Golden literals pinned across versions, not just across two runs of
+   one build: a change in the order a lane visits its sends moves the
+   bounded cache's clock hand and the tracker confirms, and with them
+   these counts, even when the delivered-record digest stays put. *)
+let test_load_golden_literals () =
+  let plan =
+    Load.plan (Load.default_config ~flows:2_000 ~generations:64 ~seed:7 ())
+  in
+  let check domains ~hits ~misses ~evictions ~peak =
+    let r = Throughput.run ~domains ~plan ~cache_capacity:256 () in
+    let label what = Printf.sprintf "%d domain(s): %s" domains what in
+    Alcotest.(check string) (label "fingerprint")
+      "38954ee96604eb93-3903b443904d359" (Throughput.fingerprint r);
+    Alcotest.(check int) (label "cache hits") hits r.Throughput.cache_hits;
+    Alcotest.(check int) (label "cache misses") misses r.Throughput.cache_misses;
+    Alcotest.(check int) (label "cache evictions") evictions
+      r.Throughput.cache_evictions;
+    Alcotest.(check int) (label "tracker resident peak") peak
+      r.Throughput.tracker_resident_peak
+  in
+  check 1 ~hits:4424 ~misses:10980 ~evictions:10616 ~peak:117;
+  check 2 ~hits:10559 ~misses:4845 ~evictions:3837 ~peak:136
+
 let test_load_unbounded_cache_never_evicts () =
   let plan =
     Load.plan (Load.default_config ~flows:1_000 ~generations:48 ~seed:7 ())
@@ -389,6 +412,7 @@ let () =
           tc "cache pressure" `Quick test_load_cache_pressure;
           tc "policy-quality gap" `Quick test_load_policy_gap;
           tc "fingerprint determinism" `Quick test_load_fingerprint_deterministic;
+          tc "golden literals" `Quick test_load_golden_literals;
           tc "unbounded cache never evicts" `Quick
             test_load_unbounded_cache_never_evicts;
           tc "aging is fingerprint-invariant" `Quick

@@ -93,6 +93,15 @@ let test_ring_overflow_raises () =
        false
      with Invalid_argument _ -> true)
 
+let test_ring_nan_time_raises () =
+  let ring = Shard.Ring.create ~capacity:4 in
+  Alcotest.(check bool) "NaN time rejected" true
+    (try
+       Shard.Ring.push ring ~time:nan ~a:0 ~b:0 ~c:0 ~v:0.0;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "nothing published" 0 (Shard.Ring.length ring)
+
 let test_ring_wraps_after_drain () =
   (* Head/tail are monotonic cursors masked into the arrays: after a
      drain the ring must accept a fresh full batch. *)
@@ -129,6 +138,23 @@ let test_merge_time_then_lane_order () =
     "(time, lane-id, ring-position) order"
     [ (2, 4); (0, 0); (1, 2); (1, 3); (0, 1); (2, 5) ]
     (List.rev !order)
+
+let test_merge_drains_infinity () =
+  (* Records stamped [infinity] are still records: none may be left in
+     the rings, and among them the lane order still holds. *)
+  let rings = Array.init 2 (fun _ -> Shard.Ring.create ~capacity:4) in
+  Shard.Ring.push rings.(0) ~time:1.0 ~a:0 ~b:0 ~c:0 ~v:0.0;
+  Shard.Ring.push rings.(0) ~time:infinity ~a:1 ~b:0 ~c:0 ~v:0.0;
+  Shard.Ring.push rings.(1) ~time:infinity ~a:2 ~b:0 ~c:0 ~v:0.0;
+  let order = ref [] in
+  Shard.merge rings ~consume:(fun ~lane r -> order := (lane, r.Shard.a) :: !order);
+  Alcotest.(check (list (pair int int)))
+    "every record consumed, ties at infinity by lane id"
+    [ (0, 0); (0, 1); (1, 2) ]
+    (List.rev !order);
+  Array.iter
+    (fun ring -> Alcotest.(check int) "ring drained" 0 (Shard.Ring.length ring))
+    rings
 
 let test_run_single_producer_per_lane () =
   (* End-to-end through Shard.run: each lane (its own domain) emits its
@@ -297,11 +323,13 @@ let () =
           tc "capacity rounding" `Quick test_ring_capacity_rounding;
           tc "fifo order" `Quick test_ring_fifo_order;
           tc "overflow raises" `Quick test_ring_overflow_raises;
+          tc "NaN time raises" `Quick test_ring_nan_time_raises;
           tc "wraps after drain" `Quick test_ring_wraps_after_drain;
         ] );
       ( "merge",
         [
           tc "time then lane order" `Quick test_merge_time_then_lane_order;
+          tc "drains records at infinity" `Quick test_merge_drains_infinity;
           tc "run: lanes on domains" `Quick test_run_single_producer_per_lane;
         ] );
       ( "batch", [ tc "fill and read" `Quick test_batch_fill_and_read ] );

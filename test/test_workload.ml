@@ -405,6 +405,77 @@ let test_load_uniform_matches_e14_blast () =
     done
   done
 
+(* Differential check of the active-flow cursor against the reference
+   [sends_at] / [seq_index], lane by lane: at every generation the cursor
+   must emit exactly the lane's flows where [sends_at] holds, ascending
+   by id, each with its [seq_index]; summed over a one-lane partition
+   its counts are [gen_sends]. *)
+let cursor_agrees_with_reference p ~lanes ~seed =
+  let flows = Load.flows p and gens = Load.generations p in
+  (* The dataplane's partition over random flow hashes. *)
+  let rng = Rng.create ~seed in
+  let hashes = Array.init flows (fun _ -> Rng.int rng (1 lsl 30)) in
+  let lane_of f = Tango_sim.Shard.lane_of_hash ~lanes hashes.(f) in
+  let ok = ref true in
+  for l = 0 to lanes - 1 do
+    let own =
+      Array.of_list (List.filter (fun f -> lane_of f = l) (List.init flows Fun.id))
+    in
+    let cur = Load.cursor p ~flows:own in
+    (* Two passes: [advance ~gen:0] restarts the cursor. *)
+    for _pass = 1 to 2 do
+      for g = 0 to gens - 1 do
+        let n = Load.advance cur ~gen:g in
+        let expect =
+          List.filter (fun f -> Load.sends_at p ~flow:f ~gen:g) (Array.to_list own)
+        in
+        let got = List.init n (fun i -> (Load.emitted_flows cur).(i)) in
+        if got <> expect then ok := false;
+        List.iteri
+          (fun i f ->
+            if (Load.emitted_seqs cur).(i) <> Load.seq_index p ~flow:f ~gen:g then
+              ok := false)
+          got;
+        if lanes = 1 && n <> Load.gen_sends p g then ok := false
+      done
+    done
+  done;
+  !ok
+
+let load_qcheck_cursor_matches_sends_at =
+  QCheck.Test.make ~name:"cursor emits exactly the sends_at schedule, ascending"
+    ~count:60
+    QCheck.(
+      pair
+        (quad (int_range 1 300) (int_range 1 120) (int_range 1 9) (int_range 1 6))
+        (pair (int_bound 10_000) (int_range 1 4)))
+    (fun ((flows, gens, video_stride, rpc_max), (seed, lanes)) ->
+      let cfg =
+        {
+          (Load.default_config ~flows ~generations:gens ~seed ()) with
+          Load.video_stride;
+          rpc_max;
+        }
+      in
+      let p = Load.plan cfg in
+      cursor_agrees_with_reference p ~lanes ~seed
+      && cursor_agrees_with_reference p ~lanes:1 ~seed
+      && cursor_agrees_with_reference
+           (Load.uniform ~flows:(1 + (flows mod 40)) ~generations:gens)
+           ~lanes ~seed)
+
+let test_load_cursor_rejects_bad_input () =
+  let p = Load.plan (Load.default_config ~flows:10 ~generations:8 ()) in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "unsorted flows" true
+    (raises (fun () -> Load.cursor p ~flows:[| 3; 1 |]));
+  Alcotest.(check bool) "flow outside the plan" true
+    (raises (fun () -> Load.cursor p ~flows:[| 10 |]));
+  let cur = Load.cursor p ~flows:[| 0; 1; 2 |] in
+  ignore (Load.advance cur ~gen:0);
+  Alcotest.(check bool) "skipped generation" true
+    (raises (fun () -> Load.advance cur ~gen:2))
+
 let () =
   let tc = Alcotest.test_case in
   let qc = QCheck_alcotest.to_alcotest in
@@ -452,5 +523,7 @@ let () =
           qc load_qcheck_class_mix;
           qc load_qcheck_schedule_accounting;
           tc "uniform is the E14 blast" `Quick test_load_uniform_matches_e14_blast;
+          qc load_qcheck_cursor_matches_sends_at;
+          tc "cursor rejects bad input" `Quick test_load_cursor_rejects_bad_input;
         ] );
     ]
