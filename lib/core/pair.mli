@@ -35,6 +35,13 @@ val setup :
     named [la] below and site B onto [ny] (the Vultr deployment is
     [setup_vultr], a thin wrapper). Clock offsets default to 0 here. *)
 
+val vultr_overrides : Tango_topo.Topology.node -> Tango_bgp.Network.overrides
+(** The BGP configuration of the paper's Vultr deployment: the two Vultr
+    nodes rank their transit neighbors by
+    {!Tango_topo.Vultr.vultr_neighbor_weight}; every other node keeps
+    the topology-derived defaults. Pass it as [~configure] to
+    {!Tango_bgp.Network.create} for Vultr and Vultr-derived topologies. *)
+
 val setup_vultr :
   ?seed:int ->
   ?policy_la:Policy.spec ->

@@ -73,8 +73,8 @@ val transited : t -> int
 
 val send_probe : t -> unit
 (** Send one measurement probe on {e every} outbound path (the paper's
-    per-10 ms probe train), dispatched as a single packet batch through
-    {!Tango_dataplane.Fabric.send_batch}. A no-op while probe
+    per-10 ms probe train), each through
+    {!Tango_dataplane.Fabric.send} in path order. A no-op while probe
     suppression is active. *)
 
 val set_probe_suppression : t -> bool -> unit
@@ -120,7 +120,7 @@ val send_stream :
   int
 (** Send one transport segment toward the peer; returns the path used.
     [`Policy] consults the live path-selection policy, [`Path p] pins a
-    tunnel. *)
+    tunnel. Raises [Invalid_argument] when [p] names no tunnel. *)
 
 (** {1 Control plane (lib/ctrl hooks)}
 
@@ -149,7 +149,7 @@ val send_ctrl : t -> ?path:int -> content:Tango_net.Packet.content -> unit -> in
     and fails over with it); returns the path used. [path] pins a
     tunnel instead — the channel's peer-loss probing rotates over every
     tunnel this way, so any live tunnel can carry the recovery. Raises
-    [Invalid_argument] if the PoP has no tunnels. *)
+    [Invalid_argument] if the PoP has no tunnels or [path] names none. *)
 
 val set_pinned : t -> bool -> unit
 (** Freeze (or release) the path-selection refresh: while pinned, the

@@ -54,21 +54,21 @@ let k_drop = Trace.kind "fabric.drop"
 
 let k_deliver = Trace.kind "fabric.deliver"
 
-(* Resolved end-to-end route, the unit of the batched fast path: the
+(* Resolved end-to-end route, the unit of the direct path: the
    full node walk for one (from, dst) pair with its delay terms
    pre-summed. [plain] marks routes with no stochastic terms anywhere
    (zero jitter, zero loss on every link) — only those can skip the
    hop-by-hop machinery, because their delivery time is a closed-form
    function of the send time and the packet size. *)
 type route_entry = {
-  mutable e_from : int;
-  mutable e_dst : Tango_net.Addr.t;
-  mutable e_dest : int;  (* delivering node; -1 when unresolvable *)
-  mutable e_links : int array;  (* packed directed-link keys, send order *)
-  mutable e_asns : int array;  (* ASNs of every node visited, from included *)
-  mutable e_delay_s : float;  (* sum of link propagation delays *)
-  mutable e_per_byte_s : float;  (* sum of per-byte transmission delays *)
-  mutable e_plain : bool;
+  e_from : int;
+  e_dst : Tango_net.Addr.t;
+  e_dest : int;  (* delivering node; -1 when unresolvable *)
+  e_links : int array;  (* packed directed-link keys, send order *)
+  e_asns : int array;  (* ASNs of every node visited, from included *)
+  e_delay_s : float;  (* sum of link propagation delays *)
+  e_per_byte_s : float;  (* sum of per-byte transmission delays *)
+  e_plain : bool;
 }
 
 type t = {
@@ -77,7 +77,7 @@ type t = {
   lanes_of : int -> Ecmp.lanes;
   extra_delay_ms : from_node:int -> to_node:int -> time_s:float -> float;
   (* Whether the caller supplied lanes_of/extra_delay_ms hooks: hooked
-     fabrics never take the batched fast path (the hooks are per-hop and
+     fabrics never take the direct path (the hooks are per-hop and
      per-packet by contract). *)
   custom_hooks : bool;
   (* Batched-route cache, validated against Network.revision: filled
@@ -303,29 +303,26 @@ let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
   at_node t packet on_dropped on_delivered from_node 0
 
 (* ------------------------------------------------------------------ *)
-(* Batched sends (DESIGN.md §11).
+(* Direct batched sends for the multicore lanes (DESIGN.md §11).
 
    [send] resolves the route hop by hop, on arrival, with one scheduled
-   engine event per hop — faithful, at the price of an event, its
-   continuation closure and a FIB lookup per hop. The batched path
-   instead snapshots the whole route once per (from, dst) pair and
-   reuses it for every packet of every batch until the control plane
-   changes ([Network.revision] moves).
-   That snapshot is only sound when nothing along the route is
-   stochastic or dynamic, so eligibility is checked at three levels:
+   engine event per hop. The lanes run off the main domain, with no
+   engine, so [send_batch_direct] instead snapshots the whole route once
+   per (from, dst) pair and reuses it for every packet of every batch
+   until the control plane changes ([Network.revision] moves). Arrival
+   time is then a closed-form function of the send time and the packet
+   size. That is only sound when nothing along the route is stochastic
+   or dynamic, so eligibility is checked at three levels:
 
    - per fabric: no fault hooks installed, no queueing model, no custom
      lanes_of/extra_delay_ms hooks;
    - per route: every link has zero jitter and zero loss ([e_plain]);
    - per batch: no failed link along the snapshot.
 
-   Anything else falls back to the canonical [send], packet by packet,
-   in order — so batching never changes observable behavior, it only
-   amortizes work when the route provably has one outcome. Batched
-   sends resolve the route at injection time (a FIB snapshot, like a
-   real batched fast path), whereas [send] re-resolves at each hop's
-   arrival; the two can differ only while BGP messages are in flight,
-   which the revision check turns into a cache flush. *)
+   A packet that fails any of them is not forwarded: it is counted in
+   [direct_fallbacks] and handed to [on_dropped] with reason
+   ["not-plain"]. Lane pipelines probe every route with [route_plain]
+   at setup, so the count stays zero. *)
 
 let no_addr = Tango_net.Addr.of_string_exn "::"
 
@@ -343,8 +340,7 @@ let empty_route =
 
 (* Walk the converged tables from [from_node] toward [dst], summing the
    deterministic delay terms. Unroutable / over-limit walks yield a
-   non-plain entry, which routes every packet through the fallback (and
-   thus through [send]'s exact drop accounting). *)
+   non-plain entry. *)
 let resolve_route t ~from_node ~dst =
   let topo = Network.topology t.net in
   let links = ref [] in
@@ -377,14 +373,7 @@ let resolve_route t ~from_node ~dst =
           end
   in
   match walk from_node 0 with
-  | None ->
-      {
-        empty_route with
-        e_from = from_node;
-        e_dst = dst;
-        e_links = [||];
-        e_asns = [||];
-      }
+  | None -> { empty_route with e_from = from_node; e_dst = dst }
   | Some dest ->
       {
         e_from = from_node;
@@ -431,44 +420,6 @@ let[@hot] record_route_hops packet (e : route_entry) =
     Packet.record_hop packet (Array.unsafe_get e.e_asns i)
   done
 
-let[@hot] send_batch t ~from_node ?(on_dropped = drop_ignored) ~on_delivered
-    batch =
-  let eligible = batch_eligible t in
-  if eligible then revalidate_routes t;
-  let engine = Network.engine t.net in
-  for i = 0 to Batch.length batch - 1 do
-    let packet = Batch.get batch i in
-    let fast =
-      if not eligible then false
-      else begin
-        let e =
-          lookup_route t ~from_node ~dst:(Packet.forwarding_dst packet) 0
-        in
-        if e.e_plain && links_ok_from t e.e_links 0 then begin
-          t.sent <- t.sent + 1;
-          Metric.incr m_sent;
-          record_route_hops packet e;
-          Metric.add m_forwarded (Array.length e.e_links);
-          let arrival =
-            Engine.now engine +. e.e_delay_s
-            +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
-          in
-          let dest = e.e_dest in
-          (* tango-lint: allow hot-alloc — one delivery event closure per packet (vs an event and its continuation per hop on the canonical path) *)
-          Engine.schedule_at engine ~time:arrival (fun _ ->
-              t.delivered <- t.delivered + 1;
-              Metric.incr m_delivered;
-              Trace.record Trace.default ~now:(Engine.now engine)
-                ~kind:k_deliver packet.Packet.id dest;
-              on_delivered ~node:dest packet);
-          true
-        end
-        else false
-      end
-    in
-    if not fast then send t ~from_node ~on_dropped ~on_delivered packet
-  done
-
 let route_plain t ~from_node ~dst =
   batch_eligible t
   &&
@@ -482,38 +433,28 @@ let[@hot] send_batch_direct t ~from_node ~now_s ?(on_dropped = drop_ignored)
     ~on_delivered_at batch =
   let eligible = batch_eligible t in
   if eligible then revalidate_routes t;
-  let engine = Network.engine t.net in
-  (* tango-lint: allow hot-alloc — one fallback-wrapping closure per batch call, not per packet *)
-  let on_delivered ~node packet =
-    on_delivered_at ~node ~at_s:(Engine.now engine) packet
-  in
   for i = 0 to Batch.length batch - 1 do
     let packet = Batch.get batch i in
-    let fast =
-      if not eligible then false
-      else begin
-        let e =
-          lookup_route t ~from_node ~dst:(Packet.forwarding_dst packet) 0
-        in
-        if e.e_plain && links_ok_from t e.e_links 0 then begin
-          t.sent <- t.sent + 1;
-          t.direct_sent <- t.direct_sent + 1;
-          record_route_hops packet e;
-          let arrival =
-            now_s +. e.e_delay_s
-            +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
-          in
-          t.delivered <- t.delivered + 1;
-          t.direct_delivered <- t.direct_delivered + 1;
-          on_delivered_at ~node:e.e_dest ~at_s:arrival packet;
-          true
-        end
-        else false
-      end
+    let e =
+      if eligible then
+        lookup_route t ~from_node ~dst:(Packet.forwarding_dst packet) 0
+      else empty_route
     in
-    if not fast then begin
+    if e.e_plain && links_ok_from t e.e_links 0 then begin
+      t.sent <- t.sent + 1;
+      t.direct_sent <- t.direct_sent + 1;
+      record_route_hops packet e;
+      let arrival =
+        now_s +. e.e_delay_s
+        +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
+      in
+      t.delivered <- t.delivered + 1;
+      t.direct_delivered <- t.direct_delivered + 1;
+      on_delivered_at ~node:e.e_dest ~at_s:arrival packet
+    end
+    else begin
       t.direct_fallbacks <- t.direct_fallbacks + 1;
-      send t ~from_node ~on_dropped ~on_delivered packet
+      on_dropped ~reason:"not-plain" packet
     end
   done
 

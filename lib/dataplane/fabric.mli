@@ -7,7 +7,12 @@
     receiving transit's ECMP-lane offset for the packet's forwarding
     5-tuple, plus a caller-supplied dynamic component — the hook the
     workload layer uses to inject diurnal drift, route-change level
-    shifts and instability spikes per transit network. *)
+    shifts and instability spikes per transit network.
+
+    There is one entry point per clock: {!send} for traffic driven by
+    the event engine (every PoP), and {!send_batch_direct} for the
+    engine-free multicore lanes, which compute arrival times in closed
+    form. *)
 
 type t
 
@@ -40,24 +45,6 @@ val send :
     of the callbacks eventually fires (drop reasons: ["unroutable"],
     ["loss"], ["ttl"]). *)
 
-val send_batch :
-  t ->
-  from_node:int ->
-  ?on_dropped:(reason:string -> Tango_net.Packet.t -> unit) ->
-  on_delivered:(node:int -> Tango_net.Packet.t -> unit) ->
-  Batch.t ->
-  unit
-(** Inject every packet of a batch at [from_node], in batch order.
-    Behaviorally equivalent to calling {!send} per packet; the batched
-    fast path applies when the fabric carries no faults, no queueing
-    model and no custom hooks, {e and} the packet's route is "plain"
-    (zero jitter and zero loss on every link, none failed). Plain routes
-    are resolved once per (from, dst) pair — a FIB snapshot validated
-    against {!Tango_bgp.Network.revision} — and delivery is scheduled as
-    a single engine event at the closed-form arrival time, amortizing
-    the per-hop events, FIB lookups and obs branches across the batch.
-    Everything else falls back to {!send}, packet by packet, in order. *)
-
 val send_batch_direct :
   t ->
   from_node:int ->
@@ -66,27 +53,35 @@ val send_batch_direct :
   on_delivered_at:(node:int -> at_s:float -> Tango_net.Packet.t -> unit) ->
   Batch.t ->
   unit
-(** The multicore lane variant of {!send_batch}: synchronous, engine-free
-    and registry-free, safe to call from a non-main domain. Packets on
-    plain routes are "delivered" immediately with their computed virtual
-    arrival time [at_s] (measured from the caller-supplied virtual send
-    time [now_s]); the caller reorders by [at_s] (see
-    {!Tango_sim.Shard}). No process-wide metric or trace is touched —
-    per-fabric counts accumulate locally and are published by
-    {!quiesce_metrics}. Ineligible packets fall back to {!send} (which
-    does touch the registry and the engine — lane code must keep
-    {!direct_fallbacks} at zero, and the throughput pipeline asserts
-    that). *)
+(** Inject every packet of a batch at [from_node], in batch order, for
+    the multicore lanes: synchronous, engine-free and registry-free,
+    safe to call from a non-main domain. It applies only when the
+    fabric carries no faults, no queueing model and no custom hooks,
+    {e and} the packet's route is "plain" (zero jitter and zero loss on
+    every link, none failed). Plain routes are resolved once per
+    (from, dst) pair — a FIB snapshot validated against
+    {!Tango_bgp.Network.revision} — and each packet is "delivered"
+    immediately with its closed-form virtual arrival time [at_s]
+    (measured from the caller-supplied virtual send time [now_s]); the
+    caller reorders by [at_s] (see {!Tango_sim.Shard}). No engine
+    event, process-wide metric or trace is touched — per-fabric counts
+    accumulate locally and are published by {!quiesce_metrics}.
+
+    Any other packet is not forwarded: it counts in {!direct_fallbacks}
+    and goes to [on_dropped] with reason ["not-plain"]. Engine-driven
+    traffic uses {!send}. Lane code checks {!route_plain} at setup and
+    keeps {!direct_fallbacks} at zero; the throughput pipeline asserts
+    that. *)
 
 val route_plain : t -> from_node:int -> dst:Tango_net.Addr.t -> bool
-(** Whether a batched send from [from_node] to [dst] would take the fast
-    path right now — fabric eligible, route resolvable, every link
+(** Whether {!send_batch_direct} from [from_node] to [dst] would forward
+    right now — fabric eligible, route resolvable, every link
     jitter-free, loss-free and healthy. Setup-time probe for lane
     pipelines that require [direct_fallbacks] to stay zero. *)
 
 val direct_fallbacks : t -> int
-(** Packets {!send_batch_direct} had to route through the canonical
-    {!send}. *)
+(** Packets {!send_batch_direct} refused as not plain (reported to
+    [on_dropped] with reason ["not-plain"]). *)
 
 val quiesce_metrics : t -> unit
 (** Publish the direct-path packet counts into the process-wide metric

@@ -6,7 +6,7 @@
    the shortest call chain from a root to every reached binding, which
    is what the report prints:
 
-     Pop.dispatch_batch -> Fabric.send_batch -> <alloc here>
+     Fabric.send -> Fabric.at_node -> Network.route_for_addr -> <alloc here>
 
    A reached binding's allocation/blocking facts become Hot_reach
    findings at the callee's location (where the fix goes), each carrying

@@ -134,7 +134,6 @@ let remove_root t =
 (* Cold: formats only when a schedule is rejected. *)
 let[@inline never] reject_time ~time ~now =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
-  (* tango-lint: allow hot-reach — raise path only: formats once, when a schedule is rejected *)
   invalid_arg (Printf.sprintf "Engine.schedule_at: time %g precedes now %g" time now)
 
 (* [not (x >= y)] also holds for NaN, so each guard rejects NaN with the

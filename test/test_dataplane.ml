@@ -415,6 +415,59 @@ let test_fabric_no_contention_by_default () =
         rest
   | [] -> Alcotest.fail "nothing delivered"
 
+(* One provider-customer link of 1 ms with the given jitter; the
+   customer announces 10/8. *)
+let direct_fabric ~jitter_ms =
+  let topo = Tango_topo.Topology.create () in
+  Tango_topo.Topology.add_node topo ~id:0 ~asn:0 "a";
+  Tango_topo.Topology.add_node topo ~id:1 ~asn:1 "b";
+  Tango_topo.Topology.connect topo ~provider:0 ~customer:1
+    ~link:(Tango_topo.Link.v ~jitter_ms 1.0) ();
+  let engine = Engine.create () in
+  let net = Tango_bgp.Network.create topo engine in
+  Tango_bgp.Network.announce net ~node:1 (Prefix.of_string_exn "10.0.0.0/8") ();
+  ignore (Tango_bgp.Network.converge net);
+  (engine, Fabric.create net)
+
+let direct_send fabric packet =
+  let batch = Batch.create () in
+  Batch.add batch packet;
+  let dropped = ref [] and delivered = ref [] in
+  Fabric.send_batch_direct fabric ~from_node:0 ~now_s:5.0
+    ~on_dropped:(fun ~reason _ -> dropped := reason :: !dropped)
+    ~on_delivered_at:(fun ~node ~at_s _ -> delivered := (node, at_s) :: !delivered)
+    batch;
+  (!dropped, !delivered)
+
+let test_fabric_direct_refuses_jittered_route () =
+  let engine, fabric = direct_fabric ~jitter_ms:0.5 in
+  let dst = Addr.of_string_exn "10.0.0.1" in
+  Alcotest.(check bool) "not plain" false
+    (Fabric.route_plain fabric ~from_node:0 ~dst);
+  let sent = Fabric.sent fabric in
+  let dropped, delivered = direct_send fabric (packet_to "10.0.0.1" 1) in
+  Alcotest.(check (list string)) "reported" [ "not-plain" ] dropped;
+  Alcotest.(check int) "not delivered" 0 (List.length delivered);
+  Alcotest.(check int) "fallback counted" 1 (Fabric.direct_fallbacks fabric);
+  Alcotest.(check int) "sent unchanged" sent (Fabric.sent fabric);
+  Alcotest.(check int) "engine untouched" 0 (Engine.pending engine)
+
+let test_fabric_direct_delivers_plain_route () =
+  let engine, fabric = direct_fabric ~jitter_ms:0.0 in
+  let dst = Addr.of_string_exn "10.0.0.1" in
+  Alcotest.(check bool) "plain" true (Fabric.route_plain fabric ~from_node:0 ~dst);
+  let dropped, delivered = direct_send fabric (packet_to "10.0.0.1" 1) in
+  Alcotest.(check int) "nothing dropped" 0 (List.length dropped);
+  (match delivered with
+  | [ (node, at_s) ] ->
+      Alcotest.(check int) "delivering node" 1 node;
+      Alcotest.(check bool) "1 ms after the send" true
+        (at_s > 5.001 && at_s < 5.0011)
+  | _ -> Alcotest.fail "expected one delivery");
+  Alcotest.(check int) "no fallback" 0 (Fabric.direct_fallbacks fabric);
+  Alcotest.(check int) "sent" 1 (Fabric.sent fabric);
+  Alcotest.(check int) "engine untouched" 0 (Engine.pending engine)
+
 (* ------------------------------------------------------------------ *)
 (* Flow cache                                                          *)
 
@@ -682,6 +735,10 @@ let () =
           tc "loss" `Quick test_fabric_loss;
           tc "extra delay" `Quick test_fabric_extra_delay_applied;
           tc "ecmp lanes" `Quick test_fabric_lanes_differentiate_flows;
+          tc "direct refuses jittered route" `Quick
+            test_fabric_direct_refuses_jittered_route;
+          tc "direct delivers plain route" `Quick
+            test_fabric_direct_delivers_plain_route;
         ] );
       ( "queueing",
         [

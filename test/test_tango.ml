@@ -56,15 +56,7 @@ let test_tunnel_endpoint_membership () =
 let vultr_net () =
   let topo = Vultr.build () in
   let engine = Tango_sim.Engine.create () in
-  Tango_bgp.Network.create
-    ~configure:(fun node ->
-      if node.Tango_topo.Topology.id = Vultr.vultr_la
-         || node.Tango_topo.Topology.id = Vultr.vultr_ny
-      then
-        { Tango_bgp.Network.no_overrides with
-          neighbor_weight = Some Vultr.vultr_neighbor_weight }
-      else Tango_bgp.Network.no_overrides)
-    topo engine
+  Tango_bgp.Network.create ~configure:Pair.vultr_overrides topo engine
 
 let probe = Prefix.of_string_exn "2001:db8:7000::/48"
 
@@ -355,6 +347,8 @@ let test_stream_invalid_args () =
        false
      with Invalid_argument _ -> true)
 
+type Tango_net.Packet.content += Bounds_probe
+
 let test_pop_bounds () =
   let pair = Pair.setup_vultr ~seed:32 () in
   let la = Pair.pop_la pair in
@@ -362,7 +356,12 @@ let test_pop_bounds () =
     (try ignore (Pop.path_label la 9); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "bad series path" true
     (try ignore (Pop.inbound_owd_series la ~path:(-1)); false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.check_raises "bad stream path" (Invalid_argument "Pop: no tunnel 9")
+    (fun () ->
+      ignore (Pop.send_stream la ~route:(`Path 9) ~content:Bounds_probe ()));
+  Alcotest.check_raises "bad ctrl path" (Invalid_argument "Pop: no tunnel -1")
+    (fun () -> ignore (Pop.send_ctrl la ~path:(-1) ~content:Bounds_probe ()))
 
 let test_config_parse_file_missing () =
   match Config.parse_file "/nonexistent/tango.conf" with
