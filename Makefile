@@ -2,7 +2,7 @@
 # formatting, the full test suite, then a fast end-to-end smoke of the
 # experiment harness (fig3 takes well under a second).
 
-.PHONY: all build fmt test perfbench-selftest lint lint-fast lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
+.PHONY: all build fmt test perfbench-selftest lint lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
 
 all: build
 
@@ -24,16 +24,12 @@ perfbench-selftest:
 
 # Static analysis: intraprocedural hot-path rules, the interprocedural
 # hot-reach closure, domain-safety and determinism checks over lib/
-# (rules in DESIGN.md §12, schemas in EXPERIMENTS.md). The dune alias
-# is the hermetic form; lint-fast drives the binary directly with the
-# digest-keyed incremental cache for sub-second warm runs.
+# (rules in DESIGN.md §12, schemas in EXPERIMENTS.md). Any unwaived
+# finding fails.
 lint:
 	dune build @lint
 
-LINT_FLAGS = --root lib --baseline LINT_BASELINE.json --cache _build/tango_lint_cache.json
-
-lint-fast: build
-	dune exec bin/tango_lint_main.exe -- $(LINT_FLAGS)
+LINT_FLAGS = --root lib
 
 lint-json: build
 	dune exec bin/tango_lint_main.exe -- --json $(LINT_FLAGS)
@@ -42,15 +38,14 @@ lint-sarif: build
 	dune exec bin/tango_lint_main.exe -- --sarif _build/tango_lint.sarif $(LINT_FLAGS)
 	@echo "SARIF written to _build/tango_lint.sarif"
 
-# Timing guard: a warm-cache lint of the whole tree must finish in
-# under 2 seconds (scale plumbing promise, DESIGN.md §12).
+# Timing guard: a full lint of the whole tree must finish in under 2
+# seconds (DESIGN.md §12).
 lint-timed: build
-	dune exec bin/tango_lint_main.exe -- $(LINT_FLAGS) > /dev/null
 	t0=$$(date +%s%N); \
 	dune exec bin/tango_lint_main.exe -- $(LINT_FLAGS) > /dev/null; \
 	t1=$$(date +%s%N); ms=$$(( (t1 - t0) / 1000000 )); \
-	echo "warm lint: $${ms} ms"; \
-	test $${ms} -lt 2000 || { echo "warm lint exceeded 2s budget"; exit 1; }
+	echo "lint: $${ms} ms"; \
+	test $${ms} -lt 2000 || { echo "lint exceeded 2s budget"; exit 1; }
 
 smoke:
 	dune exec bench/main.exe -- --experiment fig3 --no-micro

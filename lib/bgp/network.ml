@@ -119,7 +119,9 @@ let engine t = t.engine
 let speaker t node_id =
   match Hashtbl.find_opt t.speakers node_id with
   | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Network.speaker: unknown node %d" node_id)
+  | None ->
+      (* tango-lint: allow hot-reach — raise-only: 0 raises on pair-fig4 (seed 1, 3.0 M fabric sends) and E1–E13 (seed 42, 549 k sends) *)
+      invalid_arg (Printf.sprintf "Network.speaker: unknown node %d" node_id)
 
 let session_delay t a b =
   let link_delay =

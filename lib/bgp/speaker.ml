@@ -252,11 +252,14 @@ let receive t ~from_node update =
 
 let best t prefix = Hashtbl.find_opt t.loc_rib prefix
 
+(* tango-lint: allow hot-reach — FIB rebuild input: 2,349 rebuilds per 3.0 M fabric sends on pair-fig4 (seed 1), 1,749 per 549 k on E1–E13 (seed 42) *)
+let cons_entry p r acc = (p, r) :: acc
+
+let compare_entry (a, _) (b, _) = Prefix.compare a b
+
 (* Sorted so longest-prefix scans and reconciliation sweeps never
    depend on Hashtbl iteration order. *)
-let loc_rib t =
-  Hashtbl.fold (fun p r acc -> (p, r) :: acc) t.loc_rib []
-  |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+let loc_rib t = List.sort compare_entry (Hashtbl.fold cons_entry t.loc_rib [])
 
 (* Observation hook for control-plane reconciliation and leak tests:
    does any of the four per-speaker tables still reference [prefix]? *)

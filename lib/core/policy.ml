@@ -57,10 +57,10 @@ let spec_to_string = function
 
 (* Per-path flap-damping state, kept as parallel flat arrays sized once
    at [create]: the scoring pass is reachable from [@hot] code
-   (Pop.refresh_policy), so the state must never grow — lazily growing
-   a record array here used to be three grandfathered hot-reach
-   findings. [was_usable] tracks the raw measurement verdict (bans
-   excluded), so a ban cannot re-trigger itself. *)
+   (Pop.refresh_policy), so the state must never grow — a lazily grown
+   record array here would allocate on that path. [was_usable] tracks
+   the raw measurement verdict (bans excluded), so a ban cannot
+   re-trigger itself. *)
 type t = {
   spec : spec;
   max_loss : float;
@@ -199,7 +199,7 @@ let adaptive t ~now_s ~beta ~hysteresis_ms ~min_dwell_s ~age_extra stats =
      OWD alone, for the all-degraded fallback (bans and staleness
      deliberately ignored — when everything is dead, the least-bad
      history wins). A plain indexed loop: an [Array.iter] closure here
-     was a grandfathered hot-reach finding. *)
+     would allocate on every call. *)
   let best_id = ref t.current and best_score = ref infinity in
   let best_known_id = ref t.current and best_known_owd = ref infinity in
   for i = 0 to Array.length stats - 1 do

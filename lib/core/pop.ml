@@ -226,17 +226,10 @@ let[@hot] record_measurement t ~now (reception : Tunnel.reception) =
     t.last_arrival.(path) <- now
   end
 
-(* Head-of-line accounting for a batch of in-order releases. A toplevel
-   recursion rather than a [List.iter] closure: this runs on the packet
-   path (hot-reach from {!handle_arrival}). *)
-let rec note_inorder_extras t released =
-  match released with
-  | [] -> ()
-  | (s, _) :: rest ->
-      (match Inorder.head_of_line_extra t.inorder ~seq:s with
-      | Some extra -> Stats.add t.inorder_extra extra
-      | None -> ());
-      note_inorder_extras t rest
+let note_inorder_extras t released =
+  for i = 0 to released - 1 do
+    Stats.add t.inorder_extra (Inorder.extra t.inorder i)
+  done
 
 let deliver_to_host t ~now (packet : Packet.t) =
   let flow = packet.Packet.flow in

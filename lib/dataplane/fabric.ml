@@ -65,7 +65,6 @@ type route_entry = {
   e_dst : Tango_net.Addr.t;
   e_dest : int;  (* delivering node; -1 when unresolvable *)
   e_links : int array;  (* packed directed-link keys, send order *)
-  e_asns : int array;  (* ASNs of every node visited, from included *)
   e_delay_s : float;  (* sum of link propagation delays *)
   e_per_byte_s : float;  (* sum of per-byte transmission delays *)
   e_plain : bool;
@@ -87,6 +86,7 @@ type t = {
   route_cache : route_entry option array;
   mutable route_rev : int;
   mutable route_clock : int;
+  walk : int array;  (* node walk of [resolve_route], one slot per hop *)
   (* Counters for the synchronous direct path, which must not touch the
      process-wide Metric registry (lanes run on their own domains):
      published into the registry at quiesce points. *)
@@ -129,6 +129,8 @@ let no_fault_extra_ms ~time_s:_ = 0.0
 
 let route_cache_slots = 16
 
+let hop_limit = 64
+
 let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
   (match max_queue_s with
   | Some q when q < 0.0 -> Err.invalid "Fabric.create: negative queue bound"
@@ -162,6 +164,7 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     route_cache = Array.make route_cache_slots None;
     route_rev = -1;
     route_clock = 0;
+    walk = Array.make (hop_limit + 1) 0;
     direct_sent = 0;
     direct_delivered = 0;
     published_sent = 0;
@@ -196,8 +199,6 @@ let[@hot] link_key t ~from_node ~to_node =
 
 let network t = t.net
 
-let hop_limit = 64
-
 let drop t packet on_dropped reason code =
   t.dropped <- t.dropped + 1;
   Metric.incr m_dropped;
@@ -219,7 +220,6 @@ let deliver t packet on_delivered node =
    along as arguments, so a hop allocates one event continuation and no
    per-send closures. *)
 let rec at_node t packet on_dropped on_delivered node hops =
-  Packet.record_hop packet (Topology.asn (Network.topology t.net) node);
   if hops > hop_limit then drop t packet on_dropped "ttl" drop_ttl
   else
     match Network.route_for_addr t.net ~node (Packet.forwarding_dst packet) with
@@ -332,59 +332,60 @@ let empty_route =
     e_dst = no_addr;
     e_dest = -1;
     e_links = [||];
-    e_asns = [||];
     e_delay_s = 0.0;
     e_per_byte_s = 0.0;
     e_plain = false;
   }
 
-(* Walk the converged tables from [from_node] toward [dst], summing the
-   deterministic delay terms. Unroutable / over-limit walks yield a
+(* Walk the converged tables from [node] toward [dst], writing the nodes
+   visited into [t.walk] from index [hops]. Returns the index of the
+   delivering node, or -1 when the walk dead-ends or exceeds the hop
+   limit. *)
+let rec walk_route t dst node hops =
+  if hops > hop_limit then -1
+  else begin
+    t.walk.(hops) <- node;
+    match Network.route_for_addr t.net ~node dst with
+    | None -> -1
+    | Some route -> (
+        if Route.local route then hops
+        else
+          match route.Route.learned_from with
+          | None -> hops
+          | Some next ->
+              if Option.is_none (Topology.link (Network.topology t.net) node next)
+              then -1
+              else walk_route t dst next (hops + 1))
+  end
+
+(* The route entry for (from, dst), with the deterministic delay terms
+   summed along the walk. Unroutable and over-limit walks yield a
    non-plain entry. *)
 let resolve_route t ~from_node ~dst =
   let topo = Network.topology t.net in
-  let links = ref [] in
-  let asns = ref [ Topology.asn topo from_node ] in
-  let delay_s = ref 0.0 in
-  let per_byte_s = ref 0.0 in
-  let plain = ref true in
-  let rec walk node hops =
-    if hops > hop_limit then None
-    else
-      match Network.route_for_addr t.net ~node dst with
-      | None -> None
-      | Some route ->
-          if Route.local route then Some node
-          else begin
-            match route.Route.learned_from with
-            | None -> Some node
-            | Some next -> (
-                match Topology.link topo node next with
-                | None -> None
-                | Some link ->
-                    links := link_key t ~from_node:node ~to_node:next :: !links;
-                    asns := Topology.asn topo next :: !asns;
-                    delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
-                    per_byte_s :=
-                      !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
-                    if link.Link.jitter_ms > 0.0 || link.Link.loss > 0.0 then
-                      plain := false;
-                    walk next (hops + 1))
-          end
-  in
-  match walk from_node 0 with
-  | None -> { empty_route with e_from = from_node; e_dst = dst }
-  | Some dest ->
-      {
-        e_from = from_node;
-        e_dst = dst;
-        e_dest = dest;
-        e_links = Array.of_list (List.rev !links);
-        e_asns = Array.of_list (List.rev !asns);
-        e_delay_s = !delay_s;
-        e_per_byte_s = !per_byte_s;
-        e_plain = !plain;
-      }
+  let last = walk_route t dst from_node 0 in
+  let links = Array.make (max last 0) 0 in
+  let delay_s = ref 0.0 and per_byte_s = ref 0.0 and plain = ref (last >= 0) in
+  for i = 0 to last - 1 do
+    let node = t.walk.(i) and next = t.walk.(i + 1) in
+    links.(i) <- link_key t ~from_node:node ~to_node:next;
+    match Topology.link topo node next with
+    | None -> ()
+    | Some link ->
+        delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
+        per_byte_s := !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
+        if link.Link.jitter_ms > 0.0 || link.Link.loss > 0.0 then plain := false
+  done;
+  (* tango-lint: allow hot-reach — route-cache miss: 0 on pair-fig4 (seed 1), 1 per 549 k fabric sends on E1–E13 (seed 42) *)
+  {
+    e_from = from_node;
+    e_dst = dst;
+    e_dest = (if last < 0 then -1 else t.walk.(last));
+    e_links = links;
+    e_delay_s = !delay_s;
+    e_per_byte_s = !per_byte_s;
+    e_plain = !plain;
+  }
 
 let[@hot] batch_eligible t =
   t.fault_count = 0 && Option.is_none t.max_queue_s && not t.custom_hooks
@@ -415,11 +416,6 @@ let[@hot] rec links_ok_from t links i =
   || Bytes.unsafe_get t.failed_links (Array.unsafe_get links i) = '\000'
      && links_ok_from t links (i + 1)
 
-let[@hot] record_route_hops packet (e : route_entry) =
-  for i = 0 to Array.length e.e_asns - 1 do
-    Packet.record_hop packet (Array.unsafe_get e.e_asns i)
-  done
-
 let route_plain t ~from_node ~dst =
   batch_eligible t
   &&
@@ -443,7 +439,6 @@ let[@hot] send_batch_direct t ~from_node ~now_s ?(on_dropped = drop_ignored)
     if e.e_plain && links_ok_from t e.e_links 0 then begin
       t.sent <- t.sent + 1;
       t.direct_sent <- t.direct_sent + 1;
-      record_route_hops packet e;
       let arrival =
         now_s +. e.e_delay_s
         +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)

@@ -58,17 +58,6 @@ let default =
     require_mli = true;
   }
 
-(* Fingerprint of everything that parameterizes the passes: the
-   incremental cache keys on it so a config (or rule-set) change
-   invalidates stale summaries wholesale. Bump the leading integer when
-   a rule's behaviour changes without a config change. *)
-let fingerprint config =
-  String.concat "|"
-    ([ "3" ]
-    @ config.hot_modules @ [ ";" ] @ config.domsafe_modules @ [ ";" ]
-    @ config.exn_ban_paths @ [ ";" ] @ config.wallclock_allow
-    @ [ (if config.require_mli then "mli" else "nomli") ])
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i =
@@ -220,6 +209,15 @@ let fact_of ~(loc : Location.t) kind msg =
     f_msg = msg;
   }
 
+let rec binds_whole_pattern p =
+  match p.ppat_desc with
+  | Ppat_var _ | Ppat_alias _ -> true
+  | Ppat_constraint (p, _) -> binds_whole_pattern p
+  | Ppat_or (a, b) -> binds_whole_pattern a || binds_whole_pattern b
+  | _ -> false
+
+let binds_whole case = binds_whole_pattern case.pc_lhs
+
 let body_facts body =
   let facts = ref [] in
   let add ~loc message = facts := fact_of ~loc Alloc message :: !facts in
@@ -280,6 +278,14 @@ let body_facts body =
         (match (strip_wrappers arg).pexp_desc with
         | Pexp_tuple comps -> List.iter (expr it) comps
         | _ -> expr it arg)
+    (* [match (a, b) with ...] is matched component-wise and the tuple
+       is never built, unless a case binds the whole scrutinee. *)
+    | Pexp_match (scrutinee, cases) when not (List.exists binds_whole cases) -> (
+        match (strip_wrappers scrutinee).pexp_desc with
+        | Pexp_tuple comps ->
+            List.iter (expr it) comps;
+            List.iter (it.Ast_iterator.case it) cases
+        | _ -> expr_tail it e)
     | _ -> expr_tail it e
   and expr_tail it e =
     (match e.pexp_desc with

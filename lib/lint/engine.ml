@@ -1,28 +1,20 @@
-(* Orchestration (DESIGN.md §12). The v2 pipeline:
+(* Orchestration (DESIGN.md §12). The pipeline:
 
      discover .ml files
        -> per-file summary (parse + local passes + callgraph facts)
-            [served from the digest-keyed Cache when the bytes and the
-             config fingerprint both match]
        -> whole-program passes over the summaries (Hotset hot-reach)
-       -> fresh missing-mli check (depends on the .mli's existence,
-          never cached)
+       -> missing-mli check
        -> waiver application (after the graph passes, so a waiver on an
           interprocedural finding registers as used)
        -> unused-waiver findings
-       -> baseline partition (fresh fail; grandfathered report;
-          stale entries surface)
 
-   Everything returns data; printing lives in Report / Sarif. *)
+   Every finding that survives the waivers fails the run. Everything
+   returns data; printing lives in Report / Sarif. *)
 
 type result = {
   files : string list;
-  findings : Rules.finding list;  (* unwaived, not grandfathered: these fail *)
+  findings : Rules.finding list;  (* unwaived: these fail *)
   waived : (Rules.finding * string) list;  (* finding, waiver reason *)
-  grandfathered : Rules.finding list;  (* absolved by the committed baseline *)
-  stale_baseline : Baseline.entry list;  (* baseline entries matching nothing *)
-  cache_hits : int;
-  cache_misses : int;
 }
 
 let read_file path =
@@ -46,11 +38,10 @@ let parse_findings ~file exn =
       ]
   | Some `Already_displayed | None -> fallback (Printexc.to_string exn)
 
-(* One file -> (digest, summary). All local passes run here; whole-
-   program passes and the mli check run downstream in [run]. *)
+(* One file -> summary. All local passes run here; whole-program
+   passes and the mli check run downstream in [run]. *)
 let summarize ~(config : Ast_check.config) file =
   let source = read_file file in
-  let digest = Digest.to_hex (Digest.string source) in
   let waivers, waiver_findings = Waivers.scan ~path:file source in
   let parsed =
     let lexbuf = Lexing.from_string source in
@@ -59,39 +50,36 @@ let summarize ~(config : Ast_check.config) file =
     | structure -> Ok structure
     | exception exn -> Error (parse_findings ~file exn)
   in
-  let summary =
-    match parsed with
-    | Error findings ->
-        {
-          Callgraph.s_path = file;
-          s_findings = findings;
-          s_waivers = waivers;
-          s_waiver_findings = waiver_findings;
-          s_opens = [];
-          s_bindings = [];
-        }
-    | Ok structure ->
-        let local =
-          Ast_check.check_structure config ~file structure
-          @ Domsafe.pass
-              ~lane_visible:(Ast_check.path_matches file config.domsafe_modules)
-              ~file structure
-          @ Determinism.pass
-              ~wallclock_allowed:
-                (Ast_check.path_matches file config.wallclock_allow)
-              ~file structure
-        in
-        let opens, bindings = Callgraph.extract structure in
-        {
-          Callgraph.s_path = file;
-          s_findings = local;
-          s_waivers = waivers;
-          s_waiver_findings = waiver_findings;
-          s_opens = opens;
-          s_bindings = bindings;
-        }
-  in
-  (digest, summary)
+  match parsed with
+  | Error findings ->
+      {
+        Callgraph.s_path = file;
+        s_findings = findings;
+        s_waivers = waivers;
+        s_waiver_findings = waiver_findings;
+        s_opens = [];
+        s_bindings = [];
+      }
+  | Ok structure ->
+      let local =
+        Ast_check.check_structure config ~file structure
+        @ Domsafe.pass
+            ~lane_visible:(Ast_check.path_matches file config.domsafe_modules)
+            ~file structure
+        @ Determinism.pass
+            ~wallclock_allowed:
+              (Ast_check.path_matches file config.wallclock_allow)
+            ~file structure
+      in
+      let opens, bindings = Callgraph.extract structure in
+      {
+        Callgraph.s_path = file;
+        s_findings = local;
+        s_waivers = waivers;
+        s_waiver_findings = waiver_findings;
+        s_opens = opens;
+        s_bindings = bindings;
+      }
 
 let mli_findings ~(config : Ast_check.config) file =
   if config.Ast_check.require_mli && not (Sys.file_exists (file ^ "i")) then
@@ -127,32 +115,9 @@ let rec ml_files_under path =
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
 
-let run ?(config = Ast_check.default) ?cache_path ?baseline_path paths =
+let run ?(config = Ast_check.default) paths =
   let files = List.concat_map ml_files_under paths in
-  let config_fp = Ast_check.fingerprint config in
-  let cache =
-    match cache_path with
-    | Some path -> Cache.load ~path ~config_fp
-    | None -> Cache.empty ()
-  in
-  let hits = ref 0 and misses = ref 0 in
-  let entries =
-    List.map
-      (fun file ->
-        let digest = Digest.to_hex (Digest.string (read_file file)) in
-        match Cache.find cache ~path:file ~digest with
-        | Some summary ->
-            incr hits;
-            (digest, summary)
-        | None ->
-            incr misses;
-            summarize ~config file)
-      files
-  in
-  (match cache_path with
-  | Some path -> Cache.save ~path ~config_fp entries
-  | None -> ());
-  let summaries = List.map snd entries in
+  let summaries = List.map (summarize ~config) files in
   let lib_map =
     Callgraph.library_map
       ~roots:(List.filter (fun p -> Sys.file_exists p && Sys.is_directory p) paths)
@@ -177,27 +142,17 @@ let run ?(config = Ast_check.default) ?cache_path ?baseline_path paths =
         Waivers.unused_findings ~path:s.Callgraph.s_path s.Callgraph.s_waivers)
       summaries
   in
-  let baseline =
-    match baseline_path with Some path -> Baseline.load ~path | None -> []
-  in
-  let fresh, grandfathered, stale =
-    Baseline.partition ~baseline (unwaived @ unused)
-  in
   {
     files;
-    findings = List.sort Rules.finding_compare fresh;
+    findings = List.sort Rules.finding_compare (unwaived @ unused);
     waived = List.sort (fun (a, _) (b, _) -> Rules.finding_compare a b) waived;
-    grandfathered = List.sort Rules.finding_compare grandfathered;
-    stale_baseline = List.sort_uniq Baseline.entry_compare stale;
-    cache_hits = !hits;
-    cache_misses = !misses;
   }
 
-(* Single-file entry point, local passes only (no call graph, no
-   baseline): what the fixture tests drive and what stays cheap to
-   reason about. Returns (unwaived, waived). *)
+(* Single-file entry point, local passes only (no call graph): what the
+   fixture tests drive and what stays cheap to reason about. Returns
+   (unwaived, waived). *)
 let lint_file ?(config = Ast_check.default) file =
-  let _digest, summary = summarize ~config file in
+  let summary = summarize ~config file in
   let waivers_by_file = Hashtbl.create 1 in
   Hashtbl.replace waivers_by_file file summary.Callgraph.s_waivers;
   let raw =
@@ -209,5 +164,3 @@ let lint_file ?(config = Ast_check.default) file =
     unwaived @ Waivers.unused_findings ~path:file summary.Callgraph.s_waivers
   in
   (unwaived, waived)
-
-let lint_paths ?(config = Ast_check.default) paths = run ~config paths

@@ -1,43 +1,22 @@
-(** Driver: file discovery, per-file summaries (cache-served), whole-
-    program passes, waiver application, baseline partition. *)
+(** Driver: file discovery, per-file summaries, whole-program passes,
+    waiver application. *)
 
 type result = {
   files : string list;  (** every .ml scanned, sorted within each root *)
   findings : Rules.finding list;
-      (** unwaived, not grandfathered findings, report order — these
-          fail the run *)
+      (** unwaived findings, report order — these fail the run *)
   waived : (Rules.finding * string) list;
       (** suppressed findings with the waiver's recorded reason *)
-  grandfathered : Rules.finding list;
-      (** findings absolved by the committed baseline: reported, not
-          failing *)
-  stale_baseline : Baseline.entry list;
-      (** baseline entries that matched no current finding — the
-          ratchet: remove them *)
-  cache_hits : int;  (** files served from the summary cache *)
-  cache_misses : int;  (** files parsed this run *)
 }
 
-val summarize : config:Ast_check.config -> string -> string * Callgraph.summary
-(** [(digest, summary)] of one file: waiver scan, parse, all local
-    passes (hot/poly/exn + domain-safety + determinism), callgraph
-    extraction. Parse failures surface as a [Parse_error] finding in the
-    summary, not an exception. *)
-
-val run :
-  ?config:Ast_check.config ->
-  ?cache_path:string ->
-  ?baseline_path:string ->
-  string list ->
-  result
-(** The full v2 pipeline over every .ml under the given
-    files/directories. [cache_path] enables the incremental summary
-    cache (read + rewrite); [baseline_path] enables grandfathering. *)
+val run : ?config:Ast_check.config -> string list -> result
+(** The full pipeline over every .ml under the given files/directories:
+    waiver scan, parse, all local passes (hot/poly/exn + domain-safety +
+    determinism), the interprocedural hot-reach pass, the missing-mli
+    check and unused-waiver findings. Parse failures surface as a
+    [Parse_error] finding, not an exception. *)
 
 val lint_file :
   ?config:Ast_check.config -> string -> Rules.finding list * (Rules.finding * string) list
-(** Lint one file with the local passes only (no call graph, cache or
-    baseline); returns (unwaived, waived). *)
-
-val lint_paths : ?config:Ast_check.config -> string list -> result
-(** [run] without cache or baseline. *)
+(** Lint one file with the local passes only (no call graph); returns
+    (unwaived, waived). *)

@@ -7,27 +7,12 @@ let text oc (r : Engine.result) =
       | [] -> ()
       | chain -> Printf.fprintf oc "    call chain: %s\n" (String.concat " -> " chain))
     r.Engine.findings;
-  List.iter
-    (fun (f : Rules.finding) ->
-      Printf.fprintf oc "%s:%d:%d: [%s] (grandfathered) %s\n" f.file f.line f.col
-        (Rules.id f.rule) f.message)
-    r.Engine.grandfathered;
-  List.iter
-    (fun (e : Baseline.entry) ->
-      Printf.fprintf oc
-        "baseline: stale entry (%s, %s, %S) matches no current finding — remove it\n"
-        e.Baseline.e_file e.Baseline.e_rule e.Baseline.e_message)
-    r.Engine.stale_baseline;
-  Printf.fprintf oc
-    "tango_lint: %d file%s scanned (%d cached, %d parsed), %d finding%s, %d \
-     waived, %d grandfathered\n"
+  Printf.fprintf oc "tango_lint: %d file%s scanned, %d finding%s, %d waived\n"
     (List.length r.Engine.files)
     (if List.length r.Engine.files = 1 then "" else "s")
-    r.Engine.cache_hits r.Engine.cache_misses
     (List.length r.Engine.findings)
     (if List.length r.Engine.findings = 1 then "" else "s")
     (List.length r.Engine.waived)
-    (List.length r.Engine.grandfathered)
 
 (* Same hand-rolled JSON idiom as bench/micro.ml: the schema is small
    and stable, documented in EXPERIMENTS.md. *)
@@ -52,29 +37,25 @@ let json_chain (f : Rules.finding) =
         (String.concat ", "
            (List.map (fun c -> "\"" ^ json_escape c ^ "\"") chain))
 
-let json_finding oc ~indent ~last (f : Rules.finding) =
+let json_finding oc ~last (f : Rules.finding) =
   Printf.fprintf oc
-    "%s{ \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \"message\": \"%s\"%s }%s\n"
-    indent (json_escape f.file) f.line f.col (Rules.id f.rule) (json_escape f.message)
+    "    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \"message\": \"%s\"%s }%s\n"
+    (json_escape f.file) f.line f.col (Rules.id f.rule) (json_escape f.message)
     (json_chain f)
     (if last then "" else ",")
 
 let json oc (r : Engine.result) =
   let n_findings = List.length r.Engine.findings in
   let n_waived = List.length r.Engine.waived in
-  let n_grandfathered = List.length r.Engine.grandfathered in
-  let n_stale = List.length r.Engine.stale_baseline in
   output_string oc "{\n";
-  output_string oc "  \"schema_version\": 2,\n";
+  output_string oc "  \"schema_version\": 3,\n";
   output_string oc "  \"tool\": \"tango_lint\",\n";
   Printf.fprintf oc "  \"rules\": [ %s ],\n"
     (String.concat ", " (List.map (fun ru -> "\"" ^ Rules.id ru ^ "\"") Rules.all));
   Printf.fprintf oc "  \"files_scanned\": %d,\n" (List.length r.Engine.files);
-  Printf.fprintf oc "  \"cache\": { \"hits\": %d, \"misses\": %d },\n"
-    r.Engine.cache_hits r.Engine.cache_misses;
   output_string oc "  \"findings\": [\n";
   List.iteri
-    (fun i f -> json_finding oc ~indent:"    " ~last:(i = n_findings - 1) f)
+    (fun i f -> json_finding oc ~last:(i = n_findings - 1) f)
     r.Engine.findings;
   output_string oc "  ],\n";
   output_string oc "  \"waived\": [\n";
@@ -86,23 +67,6 @@ let json oc (r : Engine.result) =
         (if i = n_waived - 1 then "" else ","))
     r.Engine.waived;
   output_string oc "  ],\n";
-  output_string oc "  \"grandfathered\": [\n";
-  List.iteri
-    (fun i f -> json_finding oc ~indent:"    " ~last:(i = n_grandfathered - 1) f)
-    r.Engine.grandfathered;
-  output_string oc "  ],\n";
-  output_string oc "  \"stale_baseline\": [\n";
-  List.iteri
-    (fun i (e : Baseline.entry) ->
-      Printf.fprintf oc
-        "    { \"file\": \"%s\", \"rule\": \"%s\", \"message\": \"%s\" }%s\n"
-        (json_escape e.Baseline.e_file) (json_escape e.Baseline.e_rule)
-        (json_escape e.Baseline.e_message)
-        (if i = n_stale - 1 then "" else ","))
-    r.Engine.stale_baseline;
-  output_string oc "  ],\n";
-  Printf.fprintf oc
-    "  \"summary\": { \"errors\": %d, \"waived\": %d, \"grandfathered\": %d, \
-     \"stale_baseline\": %d }\n"
-    n_findings n_waived n_grandfathered n_stale;
+  Printf.fprintf oc "  \"summary\": { \"errors\": %d, \"waived\": %d }\n" n_findings
+    n_waived;
   output_string oc "}\n"

@@ -20,4 +20,8 @@ val key_of_string : string -> key
 val mac : key -> Bytes.t -> int64
 (** SipHash-2-4 of the byte string. *)
 
+val mac_into : key -> Bytes.t -> Bytes.t -> int -> unit
+(** [mac_into k input dst off] writes [mac k input] big-endian, the
+    shim's byte order, at [dst.[off .. off + 7]]. Allocates nothing. *)
+
 val mac_string : key -> string -> int64

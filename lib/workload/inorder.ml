@@ -1,48 +1,45 @@
 type t = {
   mutable next_seq : int;
-  buffer : (int, float) Hashtbl.t;  (* out-of-order arrivals *)
-  arrivals : (int, float) Hashtbl.t;
-  releases : (int, float) Hashtbl.t;
-  mutable released : int;
+  buffer : (int, float) Hashtbl.t;  (* out-of-order arrivals: seq -> arrival time *)
+  mutable extras : float array;  (* head-of-line extras of the last release *)
 }
 
-let create () =
-  {
-    next_seq = 0;
-    buffer = Hashtbl.create 64;
-    arrivals = Hashtbl.create 64;
-    releases = Hashtbl.create 64;
-    released = 0;
-  }
+let create () = { next_seq = 0; buffer = Hashtbl.create 64; extras = Array.make 16 0.0 }
+
+let note_extra t i extra =
+  if i = Array.length t.extras then begin
+    let bigger = Array.make (2 * i) 0.0 in
+    Array.blit t.extras 0 bigger 0 i;
+    t.extras <- bigger
+  end;
+  t.extras.(i) <- extra
+
+(* Release the buffered run that follows the head, all at [time]. *)
+let rec release_buffered t ~time n =
+  if Hashtbl.mem t.buffer t.next_seq then begin
+    let arrived = Hashtbl.find t.buffer t.next_seq in
+    Hashtbl.remove t.buffer t.next_seq;
+    note_extra t n (time -. arrived);
+    t.next_seq <- t.next_seq + 1;
+    release_buffered t ~time (n + 1)
+  end
+  else n
 
 let arrival t ~seq ~time =
-  if seq < t.next_seq || Hashtbl.mem t.buffer seq then []
-  else begin
-    Hashtbl.replace t.arrivals seq time;
+  if seq < t.next_seq || Hashtbl.mem t.buffer seq then 0
+  else if seq > t.next_seq then begin
     Hashtbl.replace t.buffer seq time;
-    if seq > t.next_seq then []
-    else begin
-      (* This arrival fills the head: release the contiguous run. *)
-      let rec release acc =
-        match Hashtbl.find_opt t.buffer t.next_seq with
-        | None -> List.rev acc
-        | Some _ ->
-            Hashtbl.remove t.buffer t.next_seq;
-            Hashtbl.replace t.releases t.next_seq time;
-            t.released <- t.released + 1;
-            let this = t.next_seq in
-            t.next_seq <- this + 1;
-            release ((this, time) :: acc)
-      in
-      release []
-    end
+    0
+  end
+  else begin
+    (* This arrival fills the head: release it and the run behind it. *)
+    note_extra t 0 0.0;
+    t.next_seq <- seq + 1;
+    if Hashtbl.length t.buffer = 0 then 1 else release_buffered t ~time 1
   end
 
-let released t = t.released
+let extra t i = t.extras.(i)
+
+let released t = t.next_seq
 
 let pending t = Hashtbl.length t.buffer
-
-let head_of_line_extra t ~seq =
-  match (Hashtbl.find_opt t.releases seq, Hashtbl.find_opt t.arrivals seq) with
-  | Some release, Some arrival -> Some (release -. arrival)
-  | _ -> None

@@ -5,24 +5,26 @@
     in-order delivery turns a single delayed packet into head-of-line
     blocking for everything behind it. This module replays a stream of
     (sequence, network-arrival-time) pairs through an in-order release
-    buffer and reports per-packet application delivery times. *)
+    buffer. It holds only the packets still waiting for a gap to fill,
+    and [arrival] allocates nothing on in-order traffic. *)
 
 type t
 
 val create : unit -> t
 
-val arrival : t -> seq:int -> time:float -> (int * float) list
-(** Record a packet's network arrival; returns the packets released to
-    the application by this arrival as [(seq, release_time)] — i.e. the
-    contiguous run now deliverable. A released packet's release time is
-    the arrival time of the packet that unblocked it. Duplicate or
+val arrival : t -> seq:int -> time:float -> int
+(** Record a packet's network arrival; returns how many packets it
+    released to the application, all at [time]. They are the contiguous
+    run of sequence numbers that ends at [released t - 1]. Duplicate or
     already-released sequence numbers release nothing. *)
 
+val extra : t -> int -> float
+(** [extra t i], for [i] below the count the last {!arrival} returned:
+    the extra delay in seconds the [i]-th packet of that run spent
+    blocked behind the missing packet ([release - arrival]). *)
+
 val released : t -> int
+(** Packets released so far; also the next sequence number expected. *)
+
 val pending : t -> int
 (** Packets buffered, waiting for a gap to fill. *)
-
-val head_of_line_extra : t -> seq:int -> float option
-(** For a released packet, the extra delay in seconds it spent blocked
-    behind the missing packet ([release - arrival]); [None] if the
-    sequence number has not been released. *)

@@ -386,11 +386,6 @@ let test_prefix_nth_negative () =
   Alcotest.(check bool) "negative index" true
     (try ignore (Prefix.nth_address p (-1L)); false with Err.Invalid _ -> true)
 
-let test_packet_hops () =
-  let p = Packet.create ~id:1 ~flow:(flow_a ()) ~payload_bytes:0 ~created_at:0.0 () in
-  List.iter (Packet.record_hop p) [ 64512; 20473; 2914 ];
-  Alcotest.(check (list int)) "in order" [ 64512; 20473; 2914 ] (Packet.path_taken p)
-
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
 
@@ -479,6 +474,21 @@ let test_siphash_key_sensitivity () =
   let input = Bytes.of_string "tango telemetry" in
   Alcotest.(check bool) "different keys differ" false
     (Int64.equal (Siphash.mac reference_key input) (Siphash.mac other input))
+
+(* [mac_into] stores the same tag big-endian, in place, without
+   allocating. *)
+let test_siphash_mac_into () =
+  let input = Bytes.init 56 Char.chr in
+  let dst = Bytes.make 12 '\xff' in
+  Siphash.mac_into reference_key input dst 2;
+  Alcotest.(check int64) "tag" (Siphash.mac reference_key input) (Bytes.get_int64_be dst 2);
+  Alcotest.(check string) "bytes around the tag untouched" "\xff\xff\xff\xff"
+    (Bytes.sub_string dst 0 2 ^ Bytes.sub_string dst 10 2);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Siphash.mac_into reference_key input dst 2
+  done;
+  Alcotest.(check bool) "no allocation" true (Gc.minor_words () -. before < 100.0)
 
 let test_siphash_key_of_string () =
   let k =
@@ -745,7 +755,6 @@ let () =
           tc "double encap rejected" `Quick test_packet_double_encap_rejected;
           tc "forwarding flow" `Quick test_packet_forwarding_flow;
           tc "forwarding hash" `Quick test_packet_forwarding_hash;
-          tc "hops" `Quick test_packet_hops;
           tc "decapsulate raw" `Quick test_packet_decapsulate_raw;
         ] );
       ( "wire",
@@ -766,6 +775,7 @@ let () =
           tc "siphash reference vectors" `Quick test_siphash_reference_vectors;
           tc "siphash key sensitivity" `Quick test_siphash_key_sensitivity;
           tc "siphash key of string" `Quick test_siphash_key_of_string;
+          tc "siphash mac_into" `Quick test_siphash_mac_into;
           tc "auth roundtrip" `Quick test_wire_auth_roundtrip;
           tc "timestamp forgery detected" `Quick test_wire_auth_detects_timestamp_forgery;
           tc "path rebind rejected" `Quick test_wire_auth_path_rebind_rejected;

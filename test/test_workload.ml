@@ -186,37 +186,43 @@ let test_traffic_on_off_bursty () =
 
 let test_inorder_sequential () =
   let io = Inorder.create () in
-  let r0 = Inorder.arrival io ~seq:0 ~time:1.0 in
-  let r1 = Inorder.arrival io ~seq:1 ~time:2.0 in
-  Alcotest.(check (list (pair int (float 1e-9)))) "release 0" [ (0, 1.0) ] r0;
-  Alcotest.(check (list (pair int (float 1e-9)))) "release 1" [ (1, 2.0) ] r1;
+  Alcotest.(check int) "release 0" 1 (Inorder.arrival io ~seq:0 ~time:1.0);
+  Alcotest.(check int) "release 1" 1 (Inorder.arrival io ~seq:1 ~time:2.0);
+  Alcotest.(check int) "released" 2 (Inorder.released io);
   Alcotest.(check int) "pending" 0 (Inorder.pending io)
 
 let test_inorder_head_of_line () =
   let io = Inorder.create () in
   ignore (Inorder.arrival io ~seq:0 ~time:1.0);
   (* Packet 1 is delayed; 2 and 3 arrive and must wait. *)
-  Alcotest.(check (list (pair int (float 1e-9)))) "2 blocked" []
-    (Inorder.arrival io ~seq:2 ~time:1.1);
-  Alcotest.(check (list (pair int (float 1e-9)))) "3 blocked" []
-    (Inorder.arrival io ~seq:3 ~time:1.2);
+  Alcotest.(check int) "2 blocked" 0 (Inorder.arrival io ~seq:2 ~time:1.1);
+  Alcotest.(check int) "3 blocked" 0 (Inorder.arrival io ~seq:3 ~time:1.2);
   Alcotest.(check int) "two pending" 2 (Inorder.pending io);
-  let released = Inorder.arrival io ~seq:1 ~time:1.5 in
-  Alcotest.(check (list (pair int (float 1e-9)))) "burst release"
-    [ (1, 1.5); (2, 1.5); (3, 1.5) ]
-    released;
-  (* Packet 2 waited 0.4 s behind the slow packet 1. *)
-  Alcotest.(check (option (float 1e-6))) "hol extra" (Some 0.4)
-    (Inorder.head_of_line_extra io ~seq:2);
-  Alcotest.(check (option (float 1e-6))) "unblocking packet itself" (Some 0.0)
-    (Inorder.head_of_line_extra io ~seq:1)
+  Alcotest.(check int) "burst release" 3 (Inorder.arrival io ~seq:1 ~time:1.5);
+  Alcotest.(check int) "released through 3" 4 (Inorder.released io);
+  (* The unblocking packet 1 waited nothing; 2 and 3 waited 0.4 s and
+     0.3 s behind it. *)
+  Alcotest.(check (list (float 1e-6))) "hol extras" [ 0.0; 0.4; 0.3 ]
+    (List.init 3 (Inorder.extra io))
 
 let test_inorder_duplicates_ignored () =
   let io = Inorder.create () in
   ignore (Inorder.arrival io ~seq:0 ~time:1.0);
-  Alcotest.(check (list (pair int (float 1e-9)))) "dup ignored" []
-    (Inorder.arrival io ~seq:0 ~time:2.0);
+  Alcotest.(check int) "dup ignored" 0 (Inorder.arrival io ~seq:0 ~time:2.0);
   Alcotest.(check int) "one released" 1 (Inorder.released io)
+
+(* Only packets waiting for a gap are held: a long in-order stream
+   leaves the state as small as it started. *)
+let test_inorder_bounded_state () =
+  let io = Inorder.create () in
+  for seq = 0 to 99_999 do
+    ignore (Inorder.arrival io ~seq ~time:(float_of_int seq *. 1e-3))
+  done;
+  Alcotest.(check int) "pending" 0 (Inorder.pending io);
+  let words = Obj.reachable_words (Obj.repr io) in
+  Alcotest.(check bool)
+    (Printf.sprintf "reachable words %d < 1000" words)
+    true (words < 1_000)
 
 let inorder_qcheck_all_released =
   QCheck.Test.make ~name:"any permutation fully releases in order" ~count:200
@@ -230,7 +236,8 @@ let inorder_qcheck_all_released =
       Array.iteri
         (fun i seq ->
           let out = Inorder.arrival io ~seq ~time:(float_of_int i) in
-          released := !released @ List.map fst out)
+          let last = Inorder.released io in
+          released := !released @ List.init out (fun k -> last - out + k))
         arr;
       !released = List.init (n + 1) Fun.id && Inorder.pending io = 0)
 
@@ -343,21 +350,88 @@ let test_load_seed_changes_schedule () =
   Alcotest.(check bool) "seeds 1 and 2 differ" false
     (String.equal (Load.fingerprint (p 1)) (Load.fingerprint (p 2)))
 
-let load_qcheck_class_mix =
-  QCheck.Test.make ~name:"class mix lands within a 4-sigma binomial CI"
-    ~count:20
-    QCheck.(int_bound 10_000)
+(* Class-mix z-scores of one plan: (count/n - share) / sigma for the
+   rpc, bulk and video shares (0.5, 0.3, 0.2) of 20,000 flows. *)
+let class_mix_flows = 20_000
+
+let class_shares = [| 0.5; 0.3; 0.2 |]
+
+let class_z seed =
+  let p =
+    Load.plan (Load.default_config ~flows:class_mix_flows ~generations:32 ~seed ())
+  in
+  let rpc, bulk, video = Load.class_counts p in
+  let n = float_of_int class_mix_flows in
+  Array.mapi
+    (fun i count ->
+      let share = class_shares.(i) in
+      ((float_of_int count /. n) -. share) /. sqrt (share *. (1.0 -. share) /. n))
+    [| rpc; bulk; video |]
+
+let max_abs_z seed = Array.fold_left (fun m z -> Float.max m (Float.abs z)) 0.0 (class_z seed)
+
+(* Per-seed 4-sigma check on a fixed seed list: 20 seeds spread over the
+   0-10,000 range. A 4-sigma bound on three classes fails on about one
+   seed in 10^4 of a sound sampler (seed 5889 is that seed in 0-10,000,
+   with z = -4.33 for rpc), so drawing random seeds made this check
+   flaky; the distribution as a whole is checked by the KS test below. *)
+let test_load_class_mix_pinned () =
+  List.iter
     (fun seed ->
-      let flows = 20_000 in
-      let p = Load.plan (Load.default_config ~flows ~generations:32 ~seed ()) in
-      let rpc, bulk, video = Load.class_counts p in
-      let within share count =
-        let n = float_of_int flows in
-        let sigma = sqrt (share *. (1.0 -. share) /. n) in
-        Float.abs ((float_of_int count /. n) -. share) <= 4.0 *. sigma
+      let p =
+        Load.plan (Load.default_config ~flows:class_mix_flows ~generations:32 ~seed ())
       in
-      rpc + bulk + video = flows
-      && within 0.5 rpc && within 0.3 bulk && within 0.2 video)
+      let rpc, bulk, video = Load.class_counts p in
+      Alcotest.(check int) "every flow has a class" class_mix_flows (rpc + bulk + video);
+      let m = max_abs_z seed in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: max |z| %.2f <= 4" seed m) true (m <= 4.0))
+    (List.init 20 (fun i -> i * 500))
+
+(* P(max_i |z_i| <= x) for the multinomial class counts in the normal
+   limit. With X, Y the scaled rpc and bulk deviations (video's is
+   -(X + Y)), integrate the density of X against the conditional normal
+   mass of Y inside the three bounds, by Simpson's rule. *)
+let max_abs_z_cdf x =
+  let p1 = class_shares.(0) and p2 = class_shares.(1) and p3 = class_shares.(2) in
+  let sd p = sqrt (p *. (1.0 -. p)) in
+  let s1 = sd p1 and s2 = sd p2 and s3 = sd p3 in
+  let beta = -.p2 /. (1.0 -. p1) in
+  let sigma = sqrt ((p2 *. (1.0 -. p2)) -. (p1 *. p2 *. p2 /. (1.0 -. p1))) in
+  let phi u = 0.5 *. (1.0 +. Float.erf (u /. sqrt 2.0)) in
+  let f xv =
+    let lo = Float.max (-.x *. s2) ((-.x *. s3) -. xv)
+    and hi = Float.min (x *. s2) ((x *. s3) -. xv) in
+    let mass =
+      if hi <= lo then 0.0
+      else phi ((hi -. (beta *. xv)) /. sigma) -. phi ((lo -. (beta *. xv)) /. sigma)
+    in
+    exp (-0.5 *. (xv /. s1) *. (xv /. s1)) /. (s1 *. sqrt (2.0 *. Float.pi)) *. mass
+  in
+  let steps = 400 in
+  let a = -.x *. s1 and h = 2.0 *. x *. s1 /. float_of_int steps in
+  let sum = ref (f a +. f (-.a)) in
+  for k = 1 to steps - 1 do
+    sum := !sum +. (if k land 1 = 1 then 4.0 else 2.0) *. f (a +. (float_of_int k *. h))
+  done;
+  !sum *. h /. 3.0
+
+(* Aggregate calibration: over seeds 0-299 the empirical distribution
+   of max |z| must match its normal-limit law. Kolmogorov-Smirnov at
+   alpha = 0.001: D <= 1.95 / sqrt 300. *)
+let test_load_class_mix_ks () =
+  let seeds = 300 in
+  let m = Array.init seeds max_abs_z in
+  Array.sort Float.compare m;
+  let d = ref 0.0 in
+  Array.iteri
+    (fun i v ->
+      let c = max_abs_z_cdf v in
+      let hi = (float_of_int (i + 1) /. float_of_int seeds) -. c
+      and lo = c -. (float_of_int i /. float_of_int seeds) in
+      d := Float.max !d (Float.max hi lo))
+    m;
+  let bound = 1.95 /. sqrt (float_of_int seeds) in
+  Alcotest.(check bool) (Printf.sprintf "KS D = %.4f <= %.4f" !d bound) true (!d <= bound)
 
 let load_qcheck_schedule_accounting =
   QCheck.Test.make
@@ -511,6 +585,7 @@ let () =
           tc "sequential" `Quick test_inorder_sequential;
           tc "head of line" `Quick test_inorder_head_of_line;
           tc "duplicates" `Quick test_inorder_duplicates_ignored;
+          tc "bounded state on 10^5 in-order arrivals" `Quick test_inorder_bounded_state;
           qc inorder_qcheck_all_released;
         ] );
       ( "load",
@@ -520,7 +595,9 @@ let () =
           qc diurnal_qcheck_mass_conserved;
           qc load_qcheck_same_seed_identical;
           tc "seed changes schedule" `Quick test_load_seed_changes_schedule;
-          qc load_qcheck_class_mix;
+          tc "class mix lands within a 4-sigma binomial CI" `Quick
+            test_load_class_mix_pinned;
+          tc "class-mix max |z| matches its normal law (KS)" `Slow test_load_class_mix_ks;
           qc load_qcheck_schedule_accounting;
           tc "uniform is the E14 blast" `Quick test_load_uniform_matches_e14_blast;
           qc load_qcheck_cursor_matches_sends_at;
